@@ -12,7 +12,6 @@ every intermediate identity is checkable numerically.
 
 from .profiles import (
     PotentialProfile,
-    SwitchProfile,
     builtin_profile,
     c0,
     chi,
@@ -55,7 +54,6 @@ from .ssf import (
     krein_check_trn,
     pushnitski,
     ssf_2d_curve,
-    ssf_limit_1d,
     ssf_mollified,
     trace_identity_eq1,
 )
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PotentialProfile",
-    "SwitchProfile",
     "builtin_profile",
     "profile_from_descriptor",
     "chi",
@@ -98,7 +95,6 @@ __all__ = [
     "SSFKind",
     "CoverageError",
     "ssf_mollified",
-    "ssf_limit_1d",
     "ssf_2d_curve",
     "pushnitski",
     "krein_check_trn",

@@ -16,24 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
 
 import numpy as np
 
-from .determinants import NearSingularError, RefinementNeededError, det2, hs_norm
-from .discretize import bs_matrix, bs_matrix_mollified, build_grid
-from .kernels import SpectralPoint, scattering_matrix
+from .determinants import NearSingularError, RefinementNeededError
+from .invariants import INVARIANTS
 from .profiles import PotentialProfile, builtin_profile, c0, profile_from_descriptor
-from .ssf import (
-    CoverageError,
-    krein_check_trn,
-    ssf_2d_curve,
-    ssf_mollified,
-    trace_identity_eq1,
-)
+from .ssf import CoverageError, ssf_2d_curve, ssf_mollified
 from .witten import witten_index
 
 __all__ = ["main"]
@@ -90,12 +82,18 @@ def _resolve_threads(args) -> Optional[int]:
         raise ValueError(f"WITTENLAB_THREADS must be an integer, got {env!r}") from None
 
 
-def _nu_grid(args) -> np.ndarray:
+def _nu_points(args) -> int:
+    """The sweep node count; unset (witten, verify) means nodes + 1."""
     if args.nu_max <= 0.0:
         raise ValueError("--nu-max must be positive")
-    if args.nu_points < 3:
+    points = args.nodes + 1 if args.nu_points is None else args.nu_points
+    if points < 3:
         raise ValueError("--nu-points must be at least 3")
-    return np.linspace(-args.nu_max, args.nu_max, args.nu_points)
+    return points
+
+
+def _nu_grid(args) -> np.ndarray:
+    return np.linspace(-args.nu_max, args.nu_max, _nu_points(args))
 
 
 def cmd_ssf1d(args) -> int:
@@ -157,7 +155,7 @@ def cmd_witten(args) -> int:
         schedule,
         N=args.nodes,
         nu_max=args.nu_max,
-        nu_points=args.nu_points if args.nu_points else None,
+        nu_points=_nu_points(args),
         threads=_resolve_threads(args),
     )
     _write_json(args.out + ".json", report.to_json_dict())
@@ -175,99 +173,14 @@ def cmd_witten(args) -> int:
     return 0
 
 
-def _verify_checks(
-    profile: PotentialProfile, N: int, nu_max: float, threads: Optional[int]
-):
-    """Yield (name, callable) pairs; each callable returns (ok, detail)."""
-    l1 = profile.l1_norm
-
-    def hs_bound():
-        worst = 0.0
-        if l1 > 0.0:
-            grid = build_grid(profile, N)
-            for nu in (-5.0, -1.0, 0.0, 1.0, 5.0):
-                T = bs_matrix(profile, SpectralPoint.boundary(nu), grid).entries
-                worst = max(worst, hs_norm(T))
-        bound = l1 * 1.01
-        return worst <= bound, f"max HS norm {worst:.6g} vs bound {bound:.6g}"
-
-    def det2_triviality():
-        worst = 0.0
-        if l1 > 0.0:
-            grid = build_grid(profile, N)
-            for nu in (-5.0, -1.0, 0.0, 1.0, 5.0):
-                T = bs_matrix(profile, SpectralPoint.boundary(nu), grid).entries
-                worst = max(worst, abs(det2(T) - 1.0))
-        return worst < 1e-3, f"max |det2 - 1| = {worst:.3e} vs tol 1e-3"
-
-    def mollified_decay():
-        worst = 0.0
-        if l1 > 0.0:
-            grid = build_grid(profile, N)
-            for n in (2, 8):
-                for nu in (0.0, 2.0, 5.0):
-                    T = bs_matrix_mollified(
-                        profile, n, SpectralPoint.boundary(nu), grid
-                    ).entries
-                    bound = 2.5 * n * n / (nu * nu + n * n) * l1 * l1 * 1.01
-                    ratio = hs_norm(T) ** 2 / bound if bound > 0.0 else 0.0
-                    worst = max(worst, ratio)
-        return worst <= 1.0, f"max squared-norm/bound ratio {worst:.6g} vs 1"
-
-    def mollifier_limit():
-        target = c0(profile)
-        grid = np.linspace(-nu_max, nu_max, max(N + 1, 9))
-        errors = []
-        for n in (2, 4, 8, 16, 32):
-            curve = ssf_mollified(profile, n, grid, N, threads=threads)
-            errors.append(abs(float(curve.value_at(0.0)) - target))
-        monotone = all(b <= a * 1.000001 + 1e-12 for a, b in zip(errors, errors[1:]))
-        ok = monotone and errors[-1] < 0.02
-        detail = "errors " + ", ".join(f"{e:.2e}" for e in errors) + " vs final tol 2e-2"
-        return ok, detail
-
-    def birman_krein():
-        gap = abs(scattering_matrix(profile) - np.exp(-2j * math.pi * c0(profile)))
-        return gap < 1e-14, f"|S - exp(-2*pi*i*c0)| = {gap:.3e} vs tol 1e-14"
-
-    def krein_trn():
-        report = krein_check_trn(profile, 4, -1.0, N=N, nu_max=nu_max, threads=threads)
-        return report.residual < 5e-3, f"residual {report.residual:.3e} vs tol 5e-3"
-
-    def stieltjes_pair():
-        report = trace_identity_eq1(
-            profile, 8, -1.0, N=N, nu_max=nu_max, threads=threads
-        )
-        rel = report.relative_residual
-        return rel < 1e-2, f"relative residual {rel:.3e} vs tol 1e-2"
-
-    def stieltjes_synthetic():
-        report = trace_identity_eq1(
-            profile, 8, -1.0, N=N, nu_max=nu_max, synthetic_constant=0.375
-        )
-        exact = 0.375 / 1.0
-        err = max(abs(report.lhs - exact), abs(report.rhs - exact))
-        return err < 1e-10, f"max side error {err:.3e} vs tol 1e-10"
-
-    return [
-        ("hs-bound", hs_bound),
-        ("det2-triviality", det2_triviality),
-        ("mollified-decay", mollified_decay),
-        ("mollifier-limit", mollifier_limit),
-        ("birman-krein", birman_krein),
-        ("krein-trn", krein_trn),
-        ("stieltjes-pair", stieltjes_pair),
-        ("stieltjes-synthetic", stieltjes_synthetic),
-    ]
-
-
 def cmd_verify(args) -> int:
     profile = _load_profile(args)
+    nu_points = _nu_points(args)
     threads = _resolve_threads(args)
     all_ok = True
-    for name, check in _verify_checks(profile, args.nodes, args.nu_max, threads):
+    for name, check in INVARIANTS:
         try:
-            ok, detail = check()
+            ok, detail = check(profile, args.nodes, args.nu_max, nu_points, threads)
         except (RefinementNeededError, NearSingularError, CoverageError, ValueError) as exc:
             ok, detail = False, f"aborted: {exc}"
         all_ok &= ok
@@ -284,29 +197,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
+    def common(p, default_out=None, nu_points=None):
         p.add_argument("--profile", help="path to a JSON profile descriptor")
         p.add_argument("--nodes", type=int, default=400, help="quadrature nodes (default 400)")
         p.add_argument("--nu-max", type=float, default=12.0, help="sweep half-width (default 12)")
-        p.add_argument(
-            "--nu-points", type=int, default=401, help="sweep node count (default 401)"
-        )
+        points_help = f"sweep node count (default {nu_points or 'nodes + 1'})"
+        p.add_argument("--nu-points", type=int, default=nu_points, help=points_help)
         p.add_argument(
             "--threads",
             type=int,
             default=None,
             help="worker threads (default: WITTENLAB_THREADS or 1)",
         )
-        p.add_argument("--out", default=default_out, help="output basename")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if default_out is not None:
+            p.add_argument("--out", default=default_out, help="output basename")
 
     p1 = sub.add_parser("ssf-1d", help="mollified 1-D spectral shift curve")
-    common(p1, "ssf1d")
+    common(p1, "ssf1d", 401)
+    p1.add_argument("--format", choices=("csv", "json"), default="csv")
     p1.add_argument("--n", type=int, default=8, help="mollifier index (default 8)")
     p1.set_defaults(func=cmd_ssf1d)
 
     p2 = sub.add_parser("ssf-2d", help="2-D spectral shift curve via the arcsine transform")
-    common(p2, "ssf2d")
+    common(p2, "ssf2d", 401)
+    p2.add_argument("--format", choices=("csv", "json"), default="csv")
     p2.add_argument("--n", type=int, default=16, help="mollifier index (default 16)")
     p2.add_argument("--lambda-min", type=float, default=0.1)
     p2.add_argument("--lambda-max", type=float, default=100.0)
@@ -331,10 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="2,4,8,16,32",
         help="comma-separated mollifier schedule (default 2,4,8,16,32)",
     )
-    p3.set_defaults(func=cmd_witten, nu_points=0)
+    p3.set_defaults(func=cmd_witten)
 
     p4 = sub.add_parser("verify", help="run the invariant suite, PASS/FAIL per identity")
-    common(p4, "verify")
+    common(p4)
     p4.set_defaults(func=cmd_verify)
 
     return parser

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .determinants import RefinementNeededError
-from .kernels import SpectralPoint, bs_kernel, bs_kernel_mollified
+from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel, bs_kernel_mollified
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
 __all__ = [
@@ -201,37 +201,26 @@ class MollifiedBSFamily:
         x = grid.nodes
         phi = np.asarray(profile.phi(x), dtype=float)
         u = np.sqrt(grid.weights) * np.sqrt(np.abs(phi))
-        self._row = np.sign(phi) * u
+        upper = side == "upper"
+        self._s = 1.0 if upper else -1.0
+        self._row = (1j if upper else -1j) * (np.sign(phi) * u)
         self._col = u
         diff = x[:, None] - x[None, :]
-        self._left_of_diag = diff < 0.0
+        # the diagonal takes the far branch above the axis and the near one below
+        self._near = diff < 0.0 if upper else diff >= 0.0
         self._decay = np.exp(-self.n * np.abs(diff))
 
     def matrix(self, nu: float) -> BirmanSchwingerMatrix:
-        n = self.n
         z = complex(nu)
+        c_near, c_osc, c_far = _mollified_coefficients(self.n, z, self._s)
         osc = np.exp(1j * z * self.grid.nodes)
         plane = osc[:, None] * osc.conj()[None, :]
-        c_osc = (n * n) / (n * n + z * z)
-        if self.side == "upper":
-            c_near = (0.5 * n) / (n - 1j * z)
-            c_far = (0.5 * n) / (n + 1j * z)
-            factor = np.where(
-                self._left_of_diag, c_near * self._decay, c_osc * plane - c_far * self._decay
-            )
-            pref = 1j
-        else:
-            c_near = (0.5 * n) / (n + 1j * z)
-            c_far = (0.5 * n) / (n - 1j * z)
-            factor = np.where(
-                ~self._left_of_diag, c_near * self._decay, c_osc * plane - c_far * self._decay
-            )
-            pref = -1j
-        entries = pref * self._row[:, None] * factor * self._col[None, :]
+        factor = np.where(self._near, c_near * self._decay, c_osc * plane - c_far * self._decay)
+        entries = self._row[:, None] * factor * self._col[None, :]
         return BirmanSchwingerMatrix(
             entries=entries,
             spectral_point=SpectralPoint.boundary(float(nu), self.side),
-            mollifier=n,
+            mollifier=self.n,
         )
 
 
@@ -254,15 +243,13 @@ def _profile_transform(profile: PotentialProfile, q: np.ndarray, radius: float) 
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel()
     fw = np.asarray(profile.phi(nodes), dtype=float) * weights
-    out = np.empty(q.shape, dtype=complex)
-    flat_q = np.atleast_1d(q).astype(float)
-    flat_out = np.empty(flat_q.shape, dtype=complex)
+    flat_q = np.ravel(q).astype(float)
+    out = np.empty(flat_q.shape, dtype=complex)
     block = 128
     for start in range(0, flat_q.size, block):
         qs = flat_q[start : start + block]
-        flat_out[start : start + block] = fw @ np.exp(-1j * np.outer(nodes, qs))
-    out[...] = flat_out.reshape(q.shape)
-    return out
+        out[start : start + block] = fw @ np.exp(-1j * np.outer(nodes, qs))
+    return out.reshape(np.shape(q))
 
 
 def fourier_pair(

@@ -140,27 +140,17 @@ def bs_kernel(profile: PotentialProfile, point: SpectralPoint, x, xp):
     return val if np.ndim(val) else complex(val)
 
 
-def _mollified_factor(n: int, z: complex, d: np.ndarray, upper: bool) -> np.ndarray:
-    """The inner convolution (n/2) * int exp(i z (x-x'')) theta e^(-n|x''-x'|) dx''.
+def _mollified_coefficients(n: int, z: complex, s: float) -> tuple[complex, complex, complex]:
+    """Coefficients of (n/2) * int exp(i z (x-x'')) theta e^(-n|x''-x'|) dx''.
 
-    Piecewise in d = x - x'; continuous (in fact C1) across d = 0.
-    Elementary antiderivatives give, for the upper half-plane,
-
-        d <  0:  (n/2)/(n - i z) * exp(n d)
-        d >= 0:  n^2/(n^2 + z^2) * exp(i z d) - (n/2)/(n + i z) * exp(-n d)
-
-    and the mirror-image expressions below the axis.
+    On side s (+1 upper, -1 lower) the convolution is c_near * exp(-n|d|)
+    where s*d < 0 and c_osc * exp(i z d) - c_far * exp(-n|d|) elsewhere,
+    d = x - x'; the branches meet continuously (in fact C1) at d = 0.
     """
-    d = np.asarray(d, dtype=float)
-    if upper:
-        decay_left = (0.5 * n) / (n - 1j * z) * np.exp(n * np.minimum(d, 0.0))
-        osc = (n * n) / (n * n + z * z) * np.exp(1j * z * d)
-        decay_right = (0.5 * n) / (n + 1j * z) * np.exp(-n * np.maximum(d, 0.0))
-        return np.where(d < 0.0, decay_left, osc - decay_right)
-    decay_right = (0.5 * n) / (n + 1j * z) * np.exp(-n * np.maximum(d, 0.0))
-    osc = (n * n) / (n * n + z * z) * np.exp(1j * z * d)
-    decay_left = (0.5 * n) / (n - 1j * z) * np.exp(n * np.minimum(d, 0.0))
-    return np.where(d > 0.0, decay_right, osc - decay_left)
+    c_near = (0.5 * n) / (n - s * 1j * z)
+    c_osc = (n * n) / (n * n + z * z)
+    c_far = (0.5 * n) / (n + s * 1j * z)
+    return c_near, c_osc, c_far
 
 
 def bs_kernel_mollified(profile: PotentialProfile, n: int, point: SpectralPoint, x, xp):
@@ -169,7 +159,7 @@ def bs_kernel_mollified(profile: PotentialProfile, n: int, point: SpectralPoint,
     The squared mollifier commutes with the free resolvent, so the
     operator equals sgn(phi)|phi|^(1/2) (A_- - z)^(-1) chi_n(A_-)^2
     |phi|^(1/2) and its kernel is the sandwiched closed-form
-    convolution from :func:`_mollified_factor`.  Smooth across the
+    convolution from :func:`_mollified_coefficients`.  Smooth across the
     diagonal (no theta factor survives), and converges pointwise to
     :func:`bs_kernel` at rate 1/n off the diagonal.
 
@@ -183,8 +173,11 @@ def bs_kernel_mollified(profile: PotentialProfile, n: int, point: SpectralPoint,
     px = profile.phi(x)
     pxp = profile.phi(xp)
     weight = np.sign(px) * np.sqrt(np.abs(px) * np.abs(pxp))
-    pref = 1j if point.is_upper else -1j
-    val = pref * weight * _mollified_factor(n, z, d, point.is_upper)
+    s = 1.0 if point.is_upper else -1.0
+    c_near, c_osc, c_far = _mollified_coefficients(n, z, s)
+    decay = np.exp(-n * np.abs(d))
+    factor = np.where(s * d < 0.0, c_near * decay, c_osc * np.exp(1j * z * d) - c_far * decay)
+    val = s * 1j * weight * factor
     return val if np.ndim(val) else complex(val)
 
 
@@ -197,9 +190,12 @@ def eta_n_im(profile: PotentialProfile, n: int, nu) -> np.ndarray | float:
     determinant.
     """
     n = _check_mollifier_index(n)
-    nu = np.asarray(nu, dtype=float)
-    val = 0.5 * n * n / (nu**2 + n * n) * profile.total_integral
+    val = _eta(profile.total_integral, n, np.asarray(nu, dtype=float))
     return val if val.ndim else float(val)
+
+
+def _eta(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
+    return 0.5 * n * n / (nu**2 + n * n) * total_integral
 
 
 def wave_phase(profile: PotentialProfile, sign: int, x) -> np.ndarray | complex:

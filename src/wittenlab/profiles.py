@@ -5,9 +5,7 @@ reference value) is driven by integrals of the perturbation phi, so the
 builtin profiles carry exact antiderivatives instead of cached
 quadrature: the resolvent phase factor exp(-i*(Phi(x)-Phi(x'))) and the
 reference constant integral(phi)/(2*pi) are then free of quadrature
-error.  A switching function is represented for completeness of the
-model definition but has no numerical role (all computed quantities are
-independent of its shape), so it is validated and never discretized.
+error.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ from scipy import special
 
 __all__ = [
     "PotentialProfile",
-    "SwitchProfile",
     "builtin_profile",
-    "builtin_switch",
     "chi",
     "c0",
     "profile_from_descriptor",
@@ -71,34 +67,6 @@ class PotentialProfile:
         return builtin_profile(
             self.kind, self.amplitude * factor, width=self.width, support=self.support
         )
-
-
-@dataclass(frozen=True)
-class SwitchProfile:
-    """Monotone switch rising from 0 at -infinity to 1 at +infinity.
-
-    Purely representational: the two-dimensional model interpolates
-    between the line operators with such a switch, but every quantity
-    this package computes is provably independent of its shape, so the
-    switch is never discretized.
-    """
-
-    theta: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    theta_prime: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    limits: tuple[float, float] = (0.0, 1.0)
-
-
-def builtin_switch() -> SwitchProfile:
-    """The logistic switch 1/(1+exp(-t)); its derivative integrates to 1."""
-
-    def theta(t):
-        return special.expit(t)
-
-    def theta_prime(t):
-        s = special.expit(t)
-        return s * (1.0 - s)
-
-    return SwitchProfile(theta=theta, theta_prime=theta_prime)
 
 
 def builtin_profile(

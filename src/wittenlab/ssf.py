@@ -43,8 +43,8 @@ from .discretize import (
     fourier_pair,
     trace_gz_diff,
 )
-from .kernels import eta_n_im
-from .profiles import PotentialProfile, _check_mollifier_index, c0
+from .kernels import _eta, eta_n_im
+from .profiles import PotentialProfile, _check_mollifier_index
 
 __all__ = [
     "SSFKind",
@@ -52,7 +52,6 @@ __all__ = [
     "CoverageError",
     "TraceCheckReport",
     "ssf_mollified",
-    "ssf_limit_1d",
     "pushnitski",
     "ssf_2d_curve",
     "krein_check_trn",
@@ -229,16 +228,6 @@ def ssf_mollified(
     return curve
 
 
-def ssf_limit_1d(profile: PotentialProfile) -> float:
-    """The exact 1-D spectral shift function, constant in nu.
-
-    The unmollified pair has the constant representative
-    integral(phi)/(2*pi); the mollified curves converge to it
-    pointwise as n grows.
-    """
-    return c0(profile)
-
-
 def _pushnitski_samples(lam: float, t_points: int) -> np.ndarray:
     t = -0.5 * math.pi + (np.arange(t_points) + 0.5) * (math.pi / t_points)
     return math.sqrt(lam) * np.sin(t)
@@ -283,7 +272,7 @@ def pushnitski(
 
 
 def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
-    return 0.5 * n * n / (np.asarray(nu, dtype=float) ** 2 + n * n) * total_integral / math.pi
+    return _eta(total_integral, n, np.asarray(nu, dtype=float)) / math.pi
 
 
 def _extended_evaluator(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wittenlab.cli import main
+from wittenlab.invariants import INVARIANTS
 
 GAUSS_DESC = {"kind": "gaussian", "amplitude": 1.0, "width": 1.0}
 ZERO_DESC = {"kind": "gaussian", "amplitude": 0.0, "width": 1.0}
@@ -91,6 +92,18 @@ def test_unknown_arguments_exit_1(capsys):
     assert main(["ssf-1d", "--no-such-flag"]) == 1
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+    # output options exist only where a subcommand writes that output
+    assert main(["verify", "--format", "json"]) == 1
+    assert main(["verify", "--out", "x"]) == 1
+    assert main(["witten", "--format", "json"]) == 1
+
+
+def test_sweep_points_validated(capsys):
+    """--nu-points reaches verify and witten and is checked before any work."""
+    for command in ("verify", "witten"):
+        code = main([command, "--nodes", "120", "--nu-max", "3", "--nu-points", "2"])
+        assert code == 1
+        assert "--nu-points must be at least 3" in capsys.readouterr().err
 
 
 def test_help_exits_0():
@@ -179,7 +192,8 @@ def test_verify_zero_profile_passes(tmp_path, profile_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    printed = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
+    assert printed == [name for name, _ in INVARIANTS]
     assert "verification passed" in out
 
 

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from wittenlab import builtin_profile, c0, chi, profile_from_descriptor
-from wittenlab.profiles import builtin_switch
 
 BUILTINS = [
     ("gaussian", 1.0, 1.0, None),
@@ -135,13 +134,3 @@ def test_validation_errors():
         builtin_profile("bump", 1.0, 1.0, support=-2.0)
     with pytest.raises(ValueError):
         profile_from_descriptor({"amplitude": 1.0})
-
-
-def test_switch_profile():
-    switch = builtin_switch()
-    assert switch.theta(0.0) == pytest.approx(0.5)
-    assert switch.theta(40.0) == pytest.approx(1.0, abs=1e-12)
-    assert switch.theta(-40.0) == pytest.approx(0.0, abs=1e-12)
-    total, _ = integrate.quad(switch.theta_prime, -50.0, 50.0, limit=200)
-    assert_allclose(total, 1.0, atol=1e-10)
-    assert switch.limits == (0.0, 1.0)

@@ -8,8 +8,6 @@ collapse to the elementary value c/(-z), which pins the cell weights
 and tail handling before the determinant pipeline enters.
 """
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +22,6 @@ from wittenlab import (
     krein_check_trn,
     pushnitski,
     ssf_2d_curve,
-    ssf_limit_1d,
     ssf_mollified,
     trace_identity_eq1,
 )
@@ -36,11 +33,6 @@ ZERO = builtin_profile("gaussian", 0.0, 1.0)
 def small_curve(n=2, points=161, nu_max=8.0, N=300):
     # N = 300 keeps the node spacing inside the oscillation gate at nu_max = 8
     return ssf_mollified(GAUSS, n, np.linspace(-nu_max, nu_max, points), N)
-
-
-def test_ssf_limit_values():
-    assert_allclose(ssf_limit_1d(GAUSS), 1.0 / (2.0 * math.sqrt(math.pi)), rtol=1e-15)
-    assert ssf_limit_1d(ZERO) == 0.0
 
 
 def test_ssf_mollified_zero_profile():
