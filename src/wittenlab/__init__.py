@@ -43,6 +43,7 @@ from .determinants import (
     PhaseCurve,
     RefinementNeededError,
     det2,
+    det2_quasiseparable,
     det_complex,
     hs_norm,
     phase_curve,
@@ -86,6 +87,7 @@ __all__ = [
     "trace_gz_diff",
     "det_complex",
     "det2",
+    "det2_quasiseparable",
     "hs_norm",
     "phase_curve",
     "PhaseCurve",

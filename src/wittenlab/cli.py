@@ -9,7 +9,9 @@ identity failed.
 
 All emitted floating-point text is rounded to 12 significant digits,
 CSV uses LF endings, and JSON keys are sorted, so identical configs
-produce byte-identical outputs regardless of thread count.
+produce byte-identical outputs.  --threads (or WITTENLAB_THREADS) is
+accepted and validated but does not change the work: each determinant
+sweep is one vectorized pass.
 """
 
 from __future__ import annotations
@@ -207,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: WITTENLAB_THREADS or 1)",
+            help="accepted and validated (at least 1) but does not change the work "
+            "(default: WITTENLAB_THREADS or 1)",
         )
         if default_out is not None:
             p.add_argument("--out", default=default_out, help="output basename")

@@ -186,10 +186,16 @@ def bs_matrix_mollified(
 class MollifiedBSFamily:
     """Mollified BS matrices over a sweep of boundary points nu + i0.
 
-    Precomputes the nu-independent pieces (weighted potential factors
-    and the exp(-n|x - x'|) decay matrix) once; each matrix(nu) call
-    then only forms the oscillatory rank-one factor and combines the
-    closed-form branches.  Agrees with bs_matrix_mollified to rounding.
+    With d = x_i - x_j, row = +/-i sgn(phi) u and col = u (u the
+    weighted |phi|^(1/2) factor), the upper-side entries are
+    row_i col_j c_near e^(n d) above the diagonal (rank 1) and
+    row_i col_j (c_osc e^(i nu d) - c_far e^(-n d)) on and below it
+    (rank 2); the lower side is the mirror image, its diagonal on the
+    near branch, where both branches agree since c_osc - c_far = c_near.
+    generators(nu_grid) returns that structure for a whole sweep, which
+    det2_quasiseparable eliminates in O(N) per point; matrix(nu)
+    assembles one dense matrix, agreeing with bs_matrix_mollified to
+    rounding, as the oracle of the structured path.
     """
 
     def __init__(self, profile: PotentialProfile, n: int, grid: QuadratureGrid, side: str = "upper"):
@@ -198,30 +204,53 @@ class MollifiedBSFamily:
         self.n = _check_mollifier_index(n)
         self.grid = grid
         self.side = side
-        x = grid.nodes
-        phi = np.asarray(profile.phi(x), dtype=float)
+        phi = np.asarray(profile.phi(grid.nodes), dtype=float)
         u = np.sqrt(grid.weights) * np.sqrt(np.abs(phi))
         upper = side == "upper"
         self._s = 1.0 if upper else -1.0
         self._row = (1j if upper else -1j) * (np.sign(phi) * u)
         self._col = u
-        diff = x[:, None] - x[None, :]
-        # the diagonal takes the far branch above the axis and the near one below
-        self._near = diff < 0.0 if upper else diff >= 0.0
-        self._decay = np.exp(-self.n * np.abs(diff))
 
     def matrix(self, nu: float) -> BirmanSchwingerMatrix:
         z = complex(nu)
+        x = self.grid.nodes
         c_near, c_osc, c_far = _mollified_coefficients(self.n, z, self._s)
-        osc = np.exp(1j * z * self.grid.nodes)
+        diff = x[:, None] - x[None, :]
+        decay = np.exp(-self.n * np.abs(diff))
+        osc = np.exp(1j * z * x)
         plane = osc[:, None] * osc.conj()[None, :]
-        factor = np.where(self._near, c_near * self._decay, c_osc * plane - c_far * self._decay)
+        # the diagonal takes the far branch above the axis and the near one below
+        near = diff < 0.0 if self._s > 0 else diff >= 0.0
+        factor = np.where(near, c_near * decay, c_osc * plane - c_far * decay)
         entries = self._row[:, None] * factor * self._col[None, :]
         return BirmanSchwingerMatrix(
             entries=entries,
             spectral_point=SpectralPoint.boundary(float(nu), self.side),
             mollifier=self.n,
         )
+
+    def generators(self, nu_grid: np.ndarray) -> tuple:
+        """(diag, lower, upper) of every matrix(nu) in the sweep, as det2_quasiseparable takes them.
+
+        The transition factors e^(+/-i nu dx) and e^(-n dx) between
+        adjacent nodes have modulus at most 1, so the generators stay
+        bounded at any n (unscaled factors e^(+/-n x) overflow once
+        2 n L passes about 709).
+        """
+        nu = np.asarray(nu_grid, dtype=float)[:, None]
+        c_near, c_osc, c_far = _mollified_coefficients(self.n, nu, self._s)
+        dx = np.diff(self.grid.nodes)
+        decay = np.exp(-self.n * dx)
+        wave = np.exp(self._s * 1j * nu * dx)
+        col = self._col[:, None]
+        near = (self._row[:, None] * c_near[:, :, None], decay[:, None], col)
+        osc = (
+            self._row[:, None] * np.stack([c_osc, -c_far], axis=-1),
+            np.stack([wave, np.broadcast_to(decay, wave.shape)], axis=-1),
+            col,
+        )
+        diag = c_near * (self._row * self._col)
+        return (diag, osc, near) if self._s > 0 else (diag, near, osc)
 
 
 def _profile_transform(profile: PotentialProfile, q: np.ndarray, radius: float) -> np.ndarray:

@@ -18,24 +18,24 @@ reports: the resolvent trace formula checked against a Fourier-side
 oracle, and the Stieltjes pair equating the lam-integral of xi_2d
 against the nu-integral of the 1-D curve.
 
-Everything here treats curves as immutable value objects; per-point
-determinant work parallelizes over nu without affecting the emitted
-values.
+Everything here treats curves as immutable value objects.  A sweep
+takes det2 at every nu from the mollified kernel's generators in O(N)
+per point, all points at once (det2_quasiseparable), then checks the
+point of smallest |det2| against the dense LU det2 of the assembled
+matrix before the phase is tracked.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
-from scipy import integrate
 
-from .determinants import det2, phase_curve
+from .determinants import RefinementNeededError, det2, det2_quasiseparable, phase_curve
 from .discretize import (
     MollifiedBSFamily,
     build_grid,
@@ -61,7 +61,6 @@ __all__ = [
 
 class SSFKind(Enum):
     ONE_DIM_MOLLIFIED = "one_dim_mollified"
-    ONE_DIM_LIMIT = "one_dim_limit"
     TWO_DIM = "two_dim"
 
 
@@ -142,23 +141,34 @@ class TraceCheckReport:
         return self.residual / max(abs(self.rhs), 1e-30)
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        return 1
-    threads = int(threads)
-    if threads < 1:
+def _check_threads(threads: Optional[int]) -> None:
+    """Reject a thread count below 1; any valid count does the same work."""
+    if threads is not None and int(threads) < 1:
         raise ValueError("threads must be at least 1")
-    return threads
 
 
-def _det2_sweep(family: MollifiedBSFamily, nu_grid: np.ndarray, threads: int) -> np.ndarray:
-    def one(nu: float) -> complex:
-        return det2(family.matrix(nu).entries)
+_SPOT_CHECK_TOL = 1e-9
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, nu_grid)))
-    return np.array([one(float(v)) for v in nu_grid])
+
+def _checked_sweep(family: MollifiedBSFamily, nu_grid: np.ndarray) -> np.ndarray:
+    """det2 at every sweep point, spot-checked against the dense LU det2.
+
+    The check runs where |det2| is smallest, where the elimination
+    without pivoting is least well conditioned, or at the first NaN
+    (a zero pivot), which argmin returns first; a disagreement beyond
+    _SPOT_CHECK_TOL * (1 + |dense|) is refused with that point named.
+    """
+    values = det2_quasiseparable(*family.generators(nu_grid))
+    k = int(np.argmin(np.abs(values)))
+    nu = float(nu_grid[k])
+    dense = det2(family.matrix(nu).entries)
+    if not abs(values[k] - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense)):
+        raise RefinementNeededError(
+            f"structured det2 {values[k]:.6g} disagrees with the dense det2 "
+            f"{dense:.6g} at nu = {nu:g}",
+            interval=(nu, nu),
+        )
+    return values
 
 
 def _zero_curve(nu_grid: np.ndarray, n: int, N: int) -> SSFCurve:
@@ -205,12 +215,12 @@ def ssf_mollified(
     if profile.l1_norm == 0.0:
         return _zero_curve(nu, n, N)
 
-    threads = _resolve_threads(threads)
+    _check_threads(threads)
     grid = build_grid(profile, N, tail_eps)
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, n, grid)
-    values = _det2_sweep(family, nu, threads)
+    values = _checked_sweep(family, nu)
     pc = phase_curve(nu, det2_values=values)
     xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, n, nu))) / math.pi
     curve = SSFCurve(
@@ -351,6 +361,10 @@ def _require_off_halfline(z: complex) -> complex:
 
 
 def _quad_complex(f: Callable[[float], complex], a: float, b: float) -> complex:
+    # imported here: scipy.integrate loads scipy.optimize, which only the
+    # quadrature tails of the trace checks need
+    from scipy import integrate
+
     re, _ = integrate.quad(lambda t: f(t).real, a, b, limit=200)
     im, _ = integrate.quad(lambda t: f(t).imag, a, b, limit=200)
     return complex(re, im)

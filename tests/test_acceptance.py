@@ -76,25 +76,27 @@ def test_criterion_01_closed_form_index():
     )
     elapsed = time.monotonic() - start
     error = report.abs_error
-    ok = error < 0.01 and elapsed < 300.0
+    ok = error < 0.01 and elapsed < 30.0
     verdict(
         1, "closed-form index",
-        ok, f"|W_r - c0| = {error:.3e}, tol 1e-2; runtime {elapsed:.1f}s, limit 300s",
+        ok, f"|W_r - c0| = {error:.3e}, tol 1e-2; runtime {elapsed:.1f}s, limit 30s",
     )
     assert error < 0.01
-    assert elapsed < 300.0
+    assert elapsed < 30.0
 
 
 def test_criterion_02_det2_triviality():
     errors = {nodes: det2_deviation(GAUSS, build_grid(GAUSS, nodes)) for nodes in (400, 800)}
-    ok = errors[400] < DET2_TOL and errors[800] <= errors[400] / 4.0 + 1e-15
+    # the raw BS matrix is strictly triangular, so det2 is exactly 1 at any N
+    exact = max(errors.values()) <= 1e-15
+    ok = errors[400] < DET2_TOL and exact
     verdict(
         2, "det2 triviality",
         ok, f"max |det2 - 1| = {errors[400]:.3e} at N=400 (tol {tol_text(DET2_TOL)}), "
-        f"{errors[800]:.3e} at N=800 (needs 4x improvement)",
+        f"{errors[800]:.3e} at N=800 (strictly triangular, exact)",
     )
     assert errors[400] < DET2_TOL
-    assert errors[800] <= errors[400] / 4.0 + 1e-15
+    assert exact
 
 
 def test_criterion_03_hilbert_schmidt_bounds():

@@ -5,10 +5,13 @@ is validated against a from-scratch Laplace expansion on small random
 matrices before anything downstream leans on it.  The phase tracker is
 exercised on synthetic det2 families whose continuous phase is known
 in closed form, including one that genuinely winds past pi, which a
-naive principal-branch reading would fold back.
+naive principal-branch reading would fold back.  The structured det2
+of the sweep is held to the dense LU det2 over the mollifier indices,
+profile kinds, signs, widths, resolutions and both boundary sides.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -23,10 +26,13 @@ from wittenlab import (
     build_grid,
     builtin_profile,
     det2,
+    det2_quasiseparable,
     det_complex,
     hs_norm,
     phase_curve,
 )
+
+from wittenlab.discretize import MollifiedBSFamily
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 
@@ -183,3 +189,101 @@ def test_phase_curve_grid_validation():
         phase_curve(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         phase_curve(np.array([0.0, 1.0]), det2_values=np.ones(3, dtype=complex))
+
+
+def dense_from_generators(diag, lower, upper):
+    """The matrix T that quasiseparable generators describe, entry by entry."""
+    N = len(diag)
+
+    def full(node, transition, other):
+        rank = np.shape(node)[-1]
+        return (np.broadcast_to(node, (N, rank)), np.broadcast_to(transition, (N - 1, rank)),
+                np.broadcast_to(other, (N, rank)))
+
+    (p, a, q), (g, b, h) = full(*lower), full(*upper)
+    T = np.diag(np.asarray(diag, dtype=complex))
+    for i in range(N):
+        for j in range(N):
+            if i > j:
+                T[i, j] = np.sum(p[i] * np.prod(a[j:i], axis=0) * q[j])
+            elif i < j:
+                T[i, j] = np.sum(g[i] * np.prod(b[i:j], axis=0) * h[j])
+    return T
+
+
+def test_det2_quasiseparable_random_generators():
+    # ranks 2 below and 3 above, a batch of 4 matrices, transitions inside the unit disk
+    rng = np.random.default_rng(7)
+    N, batch = 12, 4
+
+    def cplx(*shape, scale=0.3):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    diag = cplx(batch, N)
+    lower = (cplx(batch, N, 2), 0.9 * np.exp(1j * rng.uniform(0, 6, (batch, N - 1, 2))),
+             cplx(batch, N, 2))
+    upper = (cplx(batch, N, 3), rng.uniform(0.2, 1.0, (batch, N - 1, 3)), cplx(batch, N, 3))
+    values = det2_quasiseparable(diag, lower, upper)
+    assert values.shape == (batch,)
+    for k in range(batch):
+        T = dense_from_generators(diag[k], [v[k] for v in lower], [v[k] for v in upper])
+        assert_allclose(values[k], det2(T), rtol=1e-13)
+
+
+def test_det2_quasiseparable_zero_pivot_is_nan():
+    N = 5
+    diag = np.zeros(N, dtype=complex)
+    diag[0] = -1.0  # the first pivot of I + T is 0
+    gens = (np.ones((N, 1)), np.full((N - 1, 1), 0.5), np.full((N, 1), 0.3))
+    assert np.isnan(det2_quasiseparable(diag, gens, gens))
+
+
+@pytest.mark.parametrize("side", ("upper", "lower"))
+def test_family_generators_reproduce_matrix(side):
+    grid = build_grid(GAUSS, 24)
+    family = MollifiedBSFamily(GAUSS, 4, grid, side=side)
+    nu = np.array([-3.0, 0.0, 0.7])
+    diag, lower, upper = family.generators(nu)
+    for k, v in enumerate(nu):
+        # generators without a batch axis are shared by every sweep point
+        point = [[g[k] if np.ndim(g) == 3 else g for g in gens] for gens in (lower, upper)]
+        T = dense_from_generators(diag[k], *point)
+        assert_allclose(T, family.matrix(v).entries, rtol=0.0, atol=1e-15)
+
+
+MOLLIFIERS = (2, 4, 8, 16, 32, 64, 128, 256)
+SHAPES = [
+    (kind, sign, width)
+    for kind in ("gaussian", "sech2", "bump")
+    for sign in (1.0, -1.0)
+    for width in (0.25, 1.0, 4.0)
+]
+
+
+@pytest.mark.parametrize("side", ("upper", "lower"))
+@pytest.mark.parametrize("N", (64, 400, 800))
+def test_structured_det2_matches_dense(N, side):
+    # every (shape, n) pair at N = 64; the dense oracle costs O(N^3) per
+    # point, so larger N visit every 7th and 17th pair, strides coprime
+    # to the 8 mollifier indices so that each n still appears
+    stride = {64: 1, 400: 7, 800: 17}[N]
+    nu = np.array([-12.0, 0.5, 6.0])
+    for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
+        profile = builtin_profile(kind, sign, width)
+        family = MollifiedBSFamily(profile, n, build_grid(profile, N), side=side)
+        structured = det2_quasiseparable(*family.generators(nu))
+        dense = np.array([det2(family.matrix(v).entries) for v in nu])
+        assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
+
+
+@pytest.mark.parametrize("side", ("upper", "lower"))
+def test_structured_det2_does_not_overflow(side):
+    # 2 n L is about 2600 here; factors exp(+-n x) left unscaled would overflow
+    grid = build_grid(GAUSS, 400)
+    assert 2 * 256 * grid.L > 709.0
+    family = MollifiedBSFamily(GAUSS, 256, grid, side=side)
+    nu = np.linspace(-12.0, 12.0, 9)
+    structured = det2_quasiseparable(*family.generators(nu))
+    assert np.all(np.isfinite(structured))
+    dense = np.array([det2(family.matrix(v).entries) for v in nu])
+    assert_allclose(structured, dense, rtol=1e-12)

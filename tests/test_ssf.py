@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wittenlab import ssf
 from wittenlab import (
     CoverageError,
+    RefinementNeededError,
     SSFCurve,
     SSFKind,
+    build_grid,
     builtin_profile,
     c0,
+    det2,
     eta_n_im,
     krein_check_trn,
     pushnitski,
@@ -25,6 +29,7 @@ from wittenlab import (
     ssf_mollified,
     trace_identity_eq1,
 )
+from wittenlab.discretize import MollifiedBSFamily
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 ZERO = builtin_profile("gaussian", 0.0, 1.0)
@@ -75,6 +80,37 @@ def test_ssf_mollified_thread_count_invariance():
     assert np.array_equal(serial.values, parallel.values)
 
 
+def test_sweep_spot_checks_one_dense_det2(monkeypatch):
+    dense_calls = []
+
+    def counted(T):
+        dense_calls.append(T.shape)
+        return det2(T)
+
+    monkeypatch.setattr(ssf, "det2", counted)
+    small_curve(n=2)
+    assert dense_calls == [(300, 300)]
+
+
+@pytest.mark.parametrize("corruption", ("perturbed", "nan"))
+def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
+    exact = ssf.det2_quasiseparable
+    nu = np.linspace(-8.0, 8.0, 161)
+    if corruption == "perturbed":
+        # every value 1e-6 off; the check looks where |det2| is smallest
+        corrupt = lambda values: values * (1.0 + 1e-6)
+        values = exact(*MollifiedBSFamily(GAUSS, 2, build_grid(GAUSS, 300)).generators(nu))
+        refused = float(nu[np.argmin(np.abs(values))])
+    else:
+        # a zero pivot at one point; the check looks at the NaN
+        corrupt = lambda values: np.where(np.arange(len(values)) == 40, np.nan, values)
+        refused = float(nu[40])
+    monkeypatch.setattr(ssf, "det2_quasiseparable", lambda *g: corrupt(exact(*g)))
+    with pytest.raises(RefinementNeededError, match="disagrees with the dense det2") as err:
+        small_curve(n=2)
+    assert err.value.interval == (refused, refused)
+
+
 def test_curve_serialization_round_trip():
     curve = SSFCurve(
         grid=np.array([-1.0, 0.0, 1.0]),
@@ -102,9 +138,9 @@ def test_curve_serialization_round_trip():
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        SSFCurve(grid=np.array([1.0, 0.0]), values=np.zeros(2), kind=SSFKind.ONE_DIM_LIMIT)
+        SSFCurve(grid=np.array([1.0, 0.0]), values=np.zeros(2), kind=SSFKind.ONE_DIM_MOLLIFIED)
     with pytest.raises(ValueError):
-        SSFCurve(grid=np.array([0.0, 1.0]), values=np.zeros(3), kind=SSFKind.ONE_DIM_LIMIT)
+        SSFCurve(grid=np.array([0.0, 1.0]), values=np.zeros(3), kind=SSFKind.ONE_DIM_MOLLIFIED)
     with pytest.raises(ValueError, match="lam > 0"):
         SSFCurve(grid=np.array([-1.0, 1.0]), values=np.zeros(2), kind=SSFKind.TWO_DIM)
 
