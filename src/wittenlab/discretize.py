@@ -20,6 +20,7 @@ assumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -106,6 +107,20 @@ class FourierOperatorPair:
             raise ValueError(f"A_plus_n is not Hermitian (residual {residual:.3e})")
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(N: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and computed once per N.
+
+    leggauss solves a dense N x N eigenproblem; every sweep at the same
+    N shares one rule, so repeated grids cost no eigensolver calls (and
+    start no BLAS threads) after the first.
+    """
+    x, w = np.polynomial.legendre.leggauss(N)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_grid(profile: PotentialProfile, N: int, tail_eps: float = 1e-12) -> QuadratureGrid:
     """Gauss-Legendre grid on [-L, L] with L = profile.tail_radius(tail_eps).
 
@@ -125,7 +140,7 @@ def build_grid(profile: PotentialProfile, N: int, tail_eps: float = 1e-12) -> Qu
             "profile carries no mass, so no truncation radius exists; "
             "a nontrivial profile is required to build a grid"
         )
-    x, w = np.polynomial.legendre.leggauss(N)
+    x, w = _legendre_rule(N)
     return QuadratureGrid(nodes=L * x, weights=L * w, L=L, N=N)
 
 

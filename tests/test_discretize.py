@@ -30,6 +30,7 @@ from wittenlab import (
 from wittenlab.discretize import (
     MollifiedBSFamily,
     _g_spectral,
+    _legendre_rule,
     _profile_transform,
     assemble,
     ensure_oscillation_resolved,
@@ -55,6 +56,26 @@ def test_build_grid_integrates_profile():
     # and integrates a plain polynomial exactly
     poly = float(np.sum(grid.weights * grid.nodes**6))
     assert_allclose(poly, 2.0 * grid.L**7 / 7.0, rtol=1e-12)
+
+
+def test_build_grid_shares_one_legendre_rule_per_N(monkeypatch):
+    # repeated grids at one N reuse the rule bit for bit, and no caller
+    # can write into the shared arrays
+    x, w = np.polynomial.legendre.leggauss(96)
+    calls = []
+    solve = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", lambda N: calls.append(N) or solve(N)
+    )
+    _legendre_rule.cache_clear()
+    first = build_grid(GAUSS, 96)
+    second = build_grid(builtin_profile("sech2", 2.0, 0.5), 96)
+    assert calls == [96]
+    assert np.array_equal(first.nodes, first.L * x)
+    assert np.array_equal(second.weights, second.L * w)
+    rule_x, rule_w = _legendre_rule(96)
+    assert not rule_x.flags.writeable and not rule_w.flags.writeable
+    _legendre_rule.cache_clear()
 
 
 def test_build_grid_compact_support_radius():
