@@ -7,9 +7,10 @@ the square-rooted weights, so Hilbert-Schmidt norms and Carleman
 determinants of the matrix approximate those of the operator.  The
 Fourier route discretizes A_- as a diagonal momentum matrix on a
 periodic box and builds A_{+,n} = A_- + chi_n(k) phihat chi_n(k) from
-plane-wave matrix elements of phi; traces of matrix functions of this
-pair provide an oracle that shares no code with the determinant
-machinery.
+plane-wave matrix elements of phi, kept as one Toeplitz column and the
+mollifier weights; traces of matrix functions of this pair, taken from a
+certified band of A_{+,n}, provide an oracle that shares no code with
+the determinant machinery.
 
 Gauss-Legendre is the right quadrature because every kernel is smooth
 off the diagonal and the |phi|^(1/2) factor confines everything to
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import eigvals_banded
 
 from .determinants import RefinementNeededError
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel, bs_kernel_mollified
@@ -42,6 +43,7 @@ __all__ = [
     "bs_matrix_mollified",
     "MollifiedBSFamily",
     "fourier_pair",
+    "trace_band",
     "trace_gz_diff",
     "ensure_oscillation_resolved",
 ]
@@ -90,21 +92,53 @@ class BirmanSchwingerMatrix:
 class FourierOperatorPair:
     """Periodic-box momentum representation of (A_-, A_{+,n}).
 
-    momenta holds k_m = pi*m/box_half_length for m = -M/2 .. M/2-1;
-    A_minus is diag(momenta) and A_plus_n adds the mollified
-    perturbation chi_n(k) phihat chi_n(k), Hermitian by construction.
+    momenta holds k_m = pi*m/box_half_length for m = -M/2 .. M/2-1 and
+    weights the mollifier chi_n(k_m).  phihat is the Hermitian Toeplitz
+    matrix with first column `column` (c_d for d = 0 .. M-1), so
+    A_{+,n} = diag(momenta) + chi_n phihat chi_n is Hermitian by
+    construction and is stored only through these three vectors.
     """
 
     box_half_length: float
     M: int
     momenta: np.ndarray
-    A_minus: np.ndarray
-    A_plus_n: np.ndarray
+    weights: np.ndarray
+    column: np.ndarray
 
     def __post_init__(self):
-        residual = float(np.max(np.abs(self.A_plus_n - self.A_plus_n.conj().T)))
-        if residual > 1e-12:
-            raise ValueError(f"A_plus_n is not Hermitian (residual {residual:.3e})")
+        if np.iscomplexobj(self.momenta):
+            raise ValueError("momenta must be real")
+        w = self.weights
+        if not (np.all(np.isfinite(w)) and np.all(w > 0.0) and np.all(w <= 1.0)):
+            raise ValueError("weights must be finite and lie in (0, 1]")
+        c0 = complex(self.column[0])
+        if abs(c0.imag) > 1e-12 * max(1.0, abs(c0)):
+            raise ValueError(f"phihat diagonal c_0 is not real (imaginary part {c0.imag:.3e})")
+
+    @property
+    def A_minus(self) -> np.ndarray:
+        """Dense diag(momenta)."""
+        return np.diag(self.momenta)
+
+    @property
+    def A_plus_n(self) -> np.ndarray:
+        """Dense A_{+,n}, built on demand (M^2 entries)."""
+        c = self.column
+        # reversed (conj(c_{M-1}), .., conj(c_1), c_0, .., c_{M-1}); row i is a window of it
+        reversed_diagonals = np.concatenate((c[::-1], c[1:].conj()))
+        phihat = np.lib.stride_tricks.sliding_window_view(reversed_diagonals, self.M)[::-1]
+        a_plus = phihat * np.outer(self.weights, self.weights)
+        a_plus[np.diag_indices(self.M)] += self.momenta
+        return a_plus
+
+    def lower_band(self, b: int) -> np.ndarray:
+        """Rows d = 0 .. b hold the d-th subdiagonal of A_{+,n} (LAPACK lower band storage)."""
+        w = self.weights
+        band = np.zeros((b + 1, self.M), dtype=self.column.dtype)
+        for d in range(b + 1):
+            band[d, : self.M - d] = (w[d:] * w[: self.M - d]) * self.column[d]
+        band[0] += self.momenta
+        return band
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,41 +302,17 @@ class MollifiedBSFamily:
         return (diag, osc, near) if self._s > 0 else (diag, near, osc)
 
 
-def _profile_transform(profile: PotentialProfile, q: np.ndarray, radius: float) -> np.ndarray:
-    """integral of phi(x) exp(-i q x) over [-radius, radius] by panel quadrature.
-
-    Panels are sized to the fastest oscillation present in q, with a
-    12-point rule per panel; for the smooth builtin profiles this is
-    accurate to near machine precision.
-    """
-    if radius <= 0.0:
-        return np.zeros(q.shape, dtype=complex)
-    q_max = float(np.max(np.abs(q)))
-    # at most ~half an oscillation period per panel
-    panels = max(8, int(math.ceil(radius * max(q_max, 1.0) / math.pi)) + 2)
-    edges = np.linspace(-radius, radius, panels + 1)
-    gx, gw = np.polynomial.legendre.leggauss(12)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
-    fw = np.asarray(profile.phi(nodes), dtype=float) * weights
-    flat_q = np.ravel(q).astype(float)
-    out = np.empty(flat_q.shape, dtype=complex)
-    block = 128
-    for start in range(0, flat_q.size, block):
-        qs = flat_q[start : start + block]
-        out[start : start + block] = fw @ np.exp(-1j * np.outer(nodes, qs))
-    return out.reshape(np.shape(q))
-
-
 def fourier_pair(
     profile: PotentialProfile, n: int, box_half_length: float, M: int
 ) -> FourierOperatorPair:
     """Periodic plane-wave discretization of the pair (A_-, A_{+,n}).
 
     Matrix elements of phi between normalized plane waves depend only
-    on the momentum difference, so phihat is Toeplitz; the mollifier
+    on the momentum difference q_d = pi*d/box_half_length, so phihat is
+    Toeplitz with column c_d = (1/2l) integral of phi(x) exp(-i q_d x).
+    One FFT of phi sampled at P = 2M points of the periodic box [-l, l)
+    gives every c_d as a periodic trapezoid sum, spectrally accurate for
+    smooth profiles that have decayed at the box edge.  The mollifier
     enters as a symmetric diagonal conjugation by chi_n(k).
     """
     n = _check_mollifier_index(n)
@@ -316,23 +326,21 @@ def fourier_pair(
         raise ValueError(
             f"box half-length {ell:g} is smaller than the profile tail radius {tail:g}"
         )
-    m = np.arange(-M // 2, M // 2)
-    momenta = np.pi * m / ell
-    radius = profile.tail_radius(1e-15)
-    dq = np.pi * np.arange(M) / ell
-    column = _profile_transform(profile, dq, radius) / (2.0 * ell)
-    phihat = toeplitz(column, column.conj())
-    weight = np.asarray(chi(n, momenta), dtype=float)
-    a_plus = np.diag(momenta).astype(complex)
-    a_plus += weight[:, None] * phihat * weight[None, :]
-    # symmetrize away rounding noise; construction is Hermitian already
-    a_plus = 0.5 * (a_plus + a_plus.conj().T)
+    momenta = np.pi * np.arange(-M // 2, M // 2) / ell
+    P = 2 * M
+    # sample points x_j = 2*l*j/P in FFT order: j = 0 .. M-1, then -M .. -1
+    offsets = np.concatenate((np.arange(M), np.arange(-M, 0)))
+    samples = np.asarray(profile.phi((2.0 * ell / P) * offsets), dtype=float)
+    column = np.fft.rfft(samples)[:M] / P
+    if np.array_equal(samples[1:], samples[:0:-1]):
+        # a real even sequence has a real DFT; drop the rounding in its imaginary part
+        column = column.real.copy()
     return FourierOperatorPair(
         box_half_length=ell,
         M=M,
         momenta=momenta,
-        A_minus=np.diag(momenta),
-        A_plus_n=a_plus,
+        weights=np.asarray(chi(n, momenta), dtype=float),
+        column=column,
     )
 
 
@@ -354,17 +362,54 @@ def _g_spectral(x: np.ndarray, z: complex) -> np.ndarray:
     return x / np.sqrt(w)
 
 
-def trace_gz_diff(pair: FourierOperatorPair, z: complex) -> complex:
-    """tr(g_z(A_{+,n}) - g_z(A_-)) with g_z(x) = x (x^2 - z)^(-1/2).
+TRACE_BAND_TOL = 1e-12
 
-    Both traces come from Hermitian eigendecompositions (A_- is already
-    diagonal), so this value is independent of everything downstream of
-    the determinant pipeline and serves as its cross-check.
+# Band reduction costs O(M^2 b); at M = 2048 it passes dense eigvalsh near b = M/16.
+_MAX_BAND_FRACTION = 16
+
+
+def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], float]:
+    """Smallest half-band b whose certified error in trace_gz_diff is at most TRACE_BAND_TOL.
+
+    Dropping the entries with |i - j| > b leaves a Hermitian E whose
+    column j has 2-norm at most chi_n(k_j) sqrt(2) ||c_{b+1:}||_2, since
+    chi_n <= 1 and each offset d occurs at most twice in a column.  By
+    Lidskii-Mirsky the eigenvalue shifts sum to at most
+    ||E||_1 <= sum_j ||E e_j||_2, and |g_z'| <= |z| / dist(z, [0, inf))^(3/2)
+    on the real line turns that into the returned bound on the trace.
+    Returns (None, 0.0), the dense path, when b would exceed M/16.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError("z must lie off the half-line [0, inf)")
-    evals = np.linalg.eigvalsh(pair.A_plus_n)
+    dist = abs(z.imag) if z.real >= 0.0 else abs(z)
+    scale = abs(z) / dist**1.5 * math.sqrt(2.0) * float(np.sum(pair.weights))
+    # tails[d] = ||c_{d:}||_2, summed from the small end
+    tails = np.sqrt(np.cumsum(np.abs(pair.column[::-1]) ** 2))[::-1]
+    bounds = scale * np.append(tails[1:], 0.0)
+    certified = np.flatnonzero(bounds[: pair.M // _MAX_BAND_FRACTION + 1] <= TRACE_BAND_TOL)
+    if certified.size == 0:
+        return None, 0.0
+    b = int(certified[0])
+    return b, float(bounds[b])
+
+
+def trace_gz_diff(pair: FourierOperatorPair, z: complex) -> complex:
+    """tr(g_z(A_{+,n}) - g_z(A_-)) with g_z(x) = x (x^2 - z)^(-1/2).
+
+    The eigenvalues of A_{+,n} come from its Hermitian band of half-width
+    trace_band(pair, z), which keeps the trace error below
+    TRACE_BAND_TOL, or from the dense matrix when no band up to M/16 is
+    certified (A_- is already diagonal).  This value is independent of
+    everything downstream of the determinant pipeline and serves as its
+    cross-check.
+    """
+    z = complex(z)
+    band, _ = trace_band(pair, z)
+    if band is None:
+        evals = np.linalg.eigvalsh(pair.A_plus_n)
+    else:
+        evals = eigvals_banded(pair.lower_band(band), lower=True)
     return complex(np.sum(_g_spectral(evals, z)) - np.sum(_g_spectral(pair.momenta, z)))
 
 

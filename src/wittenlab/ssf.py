@@ -41,6 +41,7 @@ from .discretize import (
     build_grid,
     ensure_oscillation_resolved,
     fourier_pair,
+    trace_band,
     trace_gz_diff,
 )
 from .kernels import _eta, eta_n_im
@@ -415,7 +416,9 @@ def krein_check_trn(
     lhs = (1/2z) tr(g_z(A_{+,n}) - g_z(A_-)) from the plane-wave
     discretization; rhs = (1/2z) integral of xi_n(nu) g_z'(nu) dnu from
     the determinant-phase curve.  The two sides share no numerical
-    machinery, so their agreement validates both.
+    machinery, so their agreement validates both.  params records the
+    oracle's half-band and its certified trace error (band None and
+    bound 0.0 on the dense path).
     """
     n = _check_mollifier_index(n)
     z = _require_off_halfline(z)
@@ -431,6 +434,8 @@ def krein_check_trn(
     params.update({"box_half_length": box_half_length, "nu_points": nu_points})
 
     pair = fourier_pair(profile, n, box_half_length, M)
+    band, band_bound = trace_band(pair, z)
+    params.update({"band": band, "band_bound": band_bound})
     lhs = trace_gz_diff(pair, z) / (2.0 * z)
 
     nu_grid = np.linspace(-nu_max, nu_max, nu_points)

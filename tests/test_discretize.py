@@ -4,7 +4,8 @@ The grid must integrate the profile to truncation accuracy, the BS
 matrix must inherit the kernel's strict triangularity, the cached
 sweep family must agree entry-for-entry with the direct assembly, and
 the plane-wave pair must reproduce the analytically known Fourier
-transform of the gaussian profile.
+transforms of the builtin profiles, and its banded trace must stay
+within its certified bound of the dense one.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigvals_banded
 
 from wittenlab import (
     FourierOperatorPair,
@@ -27,13 +29,14 @@ from wittenlab import (
     hs_norm,
     trace_gz_diff,
 )
+from wittenlab import discretize
 from wittenlab.discretize import (
     MollifiedBSFamily,
     _g_spectral,
     _legendre_rule,
-    _profile_transform,
     assemble,
     ensure_oscillation_resolved,
+    trace_band,
 )
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
@@ -198,13 +201,34 @@ def test_fourier_pair_zero_profile_is_free():
     assert_allclose(pair.A_plus_n, pair.A_minus, atol=0.0)
 
 
-def test_profile_transform_gaussian_closed_form():
-    # integral of exp(-x^2) exp(-iqx) = sqrt(pi) exp(-q^2/4)
-    q = np.linspace(0.0, 8.0, 17)
-    radius = GAUSS.tail_radius(1e-15)
-    vals = _profile_transform(GAUSS, q, radius)
-    expected = math.sqrt(math.pi) * np.exp(-(q**2) / 4.0)
-    assert_allclose(vals, expected, atol=1e-12)
+def _closed_form_transform(kind: str, a: float, q: np.ndarray) -> np.ndarray:
+    """integral of phi(x) exp(-iqx) for the unit-amplitude builtin kinds of width a."""
+    if kind == "gaussian":
+        return math.sqrt(math.pi) * a * np.exp(-(a * q) ** 2 / 4.0)
+    if kind == "sech2":
+        safe = np.where(q == 0.0, 1.0, q)
+        return np.where(q == 0.0, 2.0 * a, math.pi * a**2 * safe / np.sinh(math.pi * a * safe / 2.0))
+    # cos^2(pi x / 2a) on [-a, a]: box plus the two shifted half-amplitude boxes
+    shift = math.pi / a
+    box = lambda k: a * np.sinc(k * a / math.pi)  # noqa: E731
+    return box(q) + 0.5 * (box(q - shift) + box(q + shift))
+
+
+def test_fourier_column_closed_form():
+    smooth = (("gaussian", 1.0, 10.0, 128), ("gaussian", 0.25, 3.0, 256),
+              ("sech2", 1.0, 20.0, 128), ("sech2", 0.25, 8.0, 512))
+    for kind, width, ell, M in smooth:
+        pair = fourier_pair(builtin_profile(kind, 1.0, width), 4, ell, M)
+        q = np.pi * np.arange(M) / ell
+        expected = _closed_form_transform(kind, width, q) / (2.0 * ell)
+        assert_allclose(pair.column, expected, rtol=0, atol=1e-12, err_msg=kind)
+    # phi'' jumps at the bump's support edge, so the periodic trapezoid
+    # converges like h^3 there: the low momenta meet 1e-12, the far end does not
+    pair = fourier_pair(builtin_profile("bump", 1.0, 1.0), 4, 2.0, 2048)
+    q = np.pi * np.arange(2048) / 2.0
+    err = np.abs(pair.column - _closed_form_transform("bump", 1.0, q) / 4.0)
+    assert err[q <= 8.0].max() < 1e-12
+    assert err.max() < 1e-10
 
 
 def test_fourier_pair_gaussian_matrix_elements():
@@ -244,6 +268,59 @@ def test_trace_gz_diff_properties():
     assert_allclose(plus, np.conj(minus), rtol=1e-12)
     zero = builtin_profile("gaussian", 0.0, 1.0)
     assert trace_gz_diff(fourier_pair(zero, 4, 8.0, 64), -1.0) == 0.0
+
+
+def _trace(evals, pair, z):
+    return np.sum(_g_spectral(evals, z)) - np.sum(_g_spectral(pair.momenta, z))
+
+
+def test_fourier_pair_stores_vectors_only():
+    pair = fourier_pair(GAUSS, 4, 10.0, 128)
+    assert pair.column.shape == pair.weights.shape == pair.momenta.shape == (128,)
+    assert pair.column.dtype == np.float64  # even profile: real Toeplitz column
+    assert_allclose(pair.lower_band(3)[1, :-1], np.diag(pair.A_plus_n, -1), rtol=0, atol=0)
+    with pytest.raises(ValueError, match="weights"):
+        FourierOperatorPair(10.0, 4, np.zeros(4), np.array([1.0, 0.5, 0.0, 1.0]), np.ones(4))
+    with pytest.raises(ValueError, match="c_0"):
+        FourierOperatorPair(10.0, 4, np.zeros(4), np.ones(4), np.array([1j, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="real"):
+        FourierOperatorPair(10.0, 4, np.zeros(4, dtype=complex), np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("n", (4, 32))
+@pytest.mark.parametrize("width", (0.25, 1.0, 4.0))
+@pytest.mark.parametrize("amplitude", (1.0, -1.0))
+@pytest.mark.parametrize("kind", ("gaussian", "sech2"))
+def test_banded_trace_within_certified_bound(kind, amplitude, width, n, monkeypatch):
+    profile = builtin_profile(kind, amplitude, width)
+    pair = fourier_pair(profile, n, 2.0 * build_grid(profile, 400).L, 1024)
+    dense_evals = np.linalg.eigvalsh(pair.A_plus_n)
+    banded_evals = {}
+    for z in (-1.0 + 0j, -1.0 + 0.5j, -1.0 - 0.5j):
+        dense = _trace(dense_evals, pair, z)
+        band, bound = trace_band(pair, z)
+        if kind == "gaussian":
+            assert band is not None and band <= 1024 // 16
+            value = trace_gz_diff(pair, z)
+        else:
+            # sech2 needs about 200 > M/16, so trace_gz_diff takes the dense
+            # path; the certificate must still hold at the band it would need
+            assert band is None
+            with monkeypatch.context() as patch:
+                patch.setattr(discretize, "_MAX_BAND_FRACTION", 1)
+                band, bound = trace_band(pair, z)
+            if band not in banded_evals:
+                banded_evals[band] = eigvals_banded(pair.lower_band(band), lower=True)
+            value = _trace(banded_evals[band], pair, z)
+        assert bound <= 1e-12
+        assert abs(value - dense) <= bound + 1e-12
+
+
+def test_trace_band_falls_back_to_dense_for_bump():
+    bump = builtin_profile("bump", 2.0, 1.0)
+    pair = fourier_pair(bump, 4, 2.0, 1024)
+    assert trace_band(pair, -1.0) == (None, 0.0)
+    assert trace_gz_diff(pair, -1.0) == _trace(np.linalg.eigvalsh(pair.A_plus_n), pair, -1.0 + 0j)
 
 
 def test_oscillation_gate():

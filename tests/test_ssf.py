@@ -23,13 +23,14 @@ from wittenlab import (
     c0,
     det2,
     eta_n_im,
+    fourier_pair,
     krein_check_trn,
     pushnitski,
     ssf_2d_curve,
     ssf_mollified,
     trace_identity_eq1,
 )
-from wittenlab.discretize import MollifiedBSFamily
+from wittenlab.discretize import MollifiedBSFamily, _g_spectral
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 ZERO = builtin_profile("gaussian", 0.0, 1.0)
@@ -228,6 +229,21 @@ def test_krein_check_small_config():
     assert report.residual < 2e-2
     assert abs(report.lhs.imag) < 1e-10  # real z gives a real trace
     assert report.params["nu_points"] == 301
+
+
+def test_krein_check_reports_oracle_band():
+    # the oracle depends on N only through the box 2L, which is N-independent
+    report = krein_check_trn(GAUSS, 4, -1.0, N=300, nu_max=8.0, M=2048, threads=2)
+    assert 0 < report.params["band"] <= 128
+    assert 0.0 < report.params["band_bound"] <= 1e-12
+    pair = fourier_pair(GAUSS, 4, report.params["box_half_length"], 2048)
+    evals = np.linalg.eigvalsh(pair.A_plus_n)
+    dense = np.sum(_g_spectral(evals, -1.0 + 0j)) - np.sum(_g_spectral(pair.momenta, -1.0 + 0j))
+    assert abs(report.lhs - dense / -2.0) <= 1e-12
+
+    bump = builtin_profile("bump", 2.0, 1.0)
+    fallback = krein_check_trn(bump, 4, -1.0, N=300, nu_max=8.0, M=1024, threads=2)
+    assert fallback.params["band"] is None and fallback.params["band_bound"] == 0.0
 
 
 def test_krein_check_rejects_halfline_z():
