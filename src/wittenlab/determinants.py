@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RefinementNeededError",
@@ -81,31 +79,22 @@ class PhaseCurve:
 def det_complex(matrix: np.ndarray) -> complex:
     """Determinant of a square complex matrix via LU with partial pivoting.
 
-    The modulus is accumulated as a sum of logs and re-exponentiated at
-    the end, so intermediate pivot products can neither overflow nor
-    underflow; an exactly singular factorization returns 0 rather than
-    raising.
+    numpy.linalg.slogdet returns the unit-modulus phase and the sum of
+    the pivot log-magnitudes, re-exponentiated here, so intermediate
+    pivot products can neither overflow nor underflow; an exactly
+    singular factorization returns 0 rather than raising.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    diag = np.diag(lu)
-    mags = np.abs(diag)
-    if np.any(mags == 0.0):
-        return 0.0 + 0.0j
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    sign = -1.0 if swaps % 2 else 1.0
-    phase = complex(np.prod(diag / mags))
-    log_magnitude = float(np.sum(np.log(mags)))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+    phase, log_magnitude = np.linalg.slogdet(a)
+    phase = complex(phase)
     # saturate rather than raise when the true value leaves double range
     if log_magnitude > 709.0:
-        return sign * phase * math.inf
-    return sign * phase * math.exp(log_magnitude)
+        return phase * math.inf
+    return phase * math.exp(log_magnitude)
 
 
 def det2(T: np.ndarray) -> complex:

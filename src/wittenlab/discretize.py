@@ -362,6 +362,13 @@ def _g_spectral(x: np.ndarray, z: complex) -> np.ndarray:
     return x / np.sqrt(w)
 
 
+def _require_off_halfline(z: complex) -> complex:
+    z = complex(z)
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise ValueError("z must lie off the half-line [0, inf)")
+    return z
+
+
 TRACE_BAND_TOL = 1e-12
 
 # Band reduction costs O(M^2 b); at M = 2048 it passes dense eigvalsh near b = M/16.
@@ -379,9 +386,7 @@ def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], fl
     on the real line turns that into the returned bound on the trace.
     Returns (None, 0.0), the dense path, when b would exceed M/16.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError("z must lie off the half-line [0, inf)")
+    z = _require_off_halfline(z)
     dist = abs(z.imag) if z.real >= 0.0 else abs(z)
     scale = abs(z) / dist**1.5 * math.sqrt(2.0) * float(np.sum(pair.weights))
     # tails[d] = ||c_{d:}||_2, summed from the small end

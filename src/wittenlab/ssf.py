@@ -12,11 +12,12 @@ from the 1-D one by the arcsine-weighted transform
 
     xi_2d(lam) = (1/pi) * int_{-sqrt(lam)}^{sqrt(lam)} xi(nu) (lam - nu^2)^(-1/2) dnu,
 
-never by discretizing the 2-D operators.  Two independent trace
-identities tie the pieces together and are exposed as residual
-reports: the resolvent trace formula checked against a Fourier-side
-oracle, and the Stieltjes pair equating the lam-integral of xi_2d
-against the nu-integral of the 1-D curve.
+never by discretizing the 2-D operators; a whole lam grid is
+transformed at once as one (lam, t) array of samples.  Two
+independent trace identities tie the pieces together and are exposed
+as residual reports: the resolvent trace formula checked against a
+Fourier-side oracle, and the Stieltjes pair equating the lam-integral
+of xi_2d against the nu-integral of the 1-D curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu from the mollified kernel's generators in O(N)
@@ -38,6 +39,7 @@ import numpy as np
 from .determinants import RefinementNeededError, det2, det2_quasiseparable, phase_curve
 from .discretize import (
     MollifiedBSFamily,
+    _require_off_halfline,
     build_grid,
     ensure_oscillation_resolved,
     fourier_pair,
@@ -239,39 +241,39 @@ def ssf_mollified(
     return curve
 
 
-def _pushnitski_samples(lam: float, t_points: int) -> np.ndarray:
-    t = -0.5 * math.pi + (np.arange(t_points) + 0.5) * (math.pi / t_points)
-    return math.sqrt(lam) * np.sin(t)
-
-
 def pushnitski(
     source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray]],
-    lam: float,
+    lam: Union[float, np.ndarray],
     *,
     t_points: int = 2001,
-) -> float:
-    """Arcsine-weighted transform of a 1-D curve at a single lam > 0.
+) -> Union[float, np.ndarray]:
+    """Arcsine-weighted transform of a 1-D curve at lam > 0.
 
     Substituting nu = sqrt(lam) sin(t) turns the weight into the flat
     measure dt/pi on (-pi/2, pi/2), so a uniform midpoint grid in t
     integrates constants exactly and odd integrands to rounding.
     source may be a constant, a callable of nu, or a sampled 1-D curve
     (interpolated linearly; lam beyond its span is a coverage error).
+    A scalar lam returns a float; a vector of lam is evaluated as one
+    (lam, t) array reduced along t, each entry equal to the scalar call.
     """
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam:g}")
+    lams = np.asarray(lam, dtype=float)
+    bad = lams[~(lams > 0.0)]
+    if bad.size:
+        raise ValueError(f"lam must be positive, got {bad[0]:g}")
     if t_points < 3:
         raise ValueError("t_points must be at least 3")
-    nus = _pushnitski_samples(lam, t_points)
+    t = -0.5 * math.pi + (np.arange(t_points) + 0.5) * (math.pi / t_points)
+    nus = np.sqrt(lams)[..., None] * np.sin(t)
     if isinstance(source, numbers.Real):
-        samples = np.full(t_points, float(source))
+        samples = np.full(nus.shape, float(source))
     elif isinstance(source, SSFCurve):
-        root = math.sqrt(lam)
+        top = float(np.max(lams, initial=0.0))
+        root = math.sqrt(top)
         lo, hi = float(source.grid[0]), float(source.grid[-1])
         if -root < lo - 1e-12 or root > hi + 1e-12:
             raise CoverageError(
-                f"1-D curve covers [{lo:g}, {hi:g}] but lam = {lam:g} "
+                f"1-D curve covers [{lo:g}, {hi:g}] but lam = {top:g} "
                 f"requires [-{root:g}, {root:g}]"
             )
         samples = np.interp(nus, source.grid, source.values)
@@ -279,7 +281,8 @@ def pushnitski(
         samples = np.broadcast_to(np.asarray(source(nus), dtype=float), nus.shape)
     else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
-    return float(np.mean(samples))
+    means = np.mean(samples, axis=-1)
+    return means if means.ndim else float(means)
 
 
 def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
@@ -350,15 +353,8 @@ def ssf_2d_curve(
         provenance["eta_correction"] = bool(eta_correction)
     else:
         evaluator = source
-    values = np.array([pushnitski(evaluator, float(l), t_points=t_points) for l in lam])
+    values = pushnitski(evaluator, lam, t_points=t_points)
     return SSFCurve(grid=lam, values=values, kind=SSFKind.TWO_DIM, provenance=provenance)
-
-
-def _require_off_halfline(z: complex) -> complex:
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError("z must lie off the half-line [0, inf)")
-    return z
 
 
 def _quad_complex(f: Callable[[float], complex], a: float, b: float) -> complex:
@@ -445,10 +441,14 @@ def krein_check_trn(
     return TraceCheckReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), params=params)
 
 
+def _lambda_grid(nu_max: float, points: int, floor: float = 1e-6) -> np.ndarray:
+    """Geometric lam grid from floor up to the cap Lambda = 100 max(1, nu_max^2)."""
+    return np.geomspace(floor, 100.0 * max(1.0, nu_max * nu_max), points)
+
+
 def _lambda_cells(nu_max: float, cells: int, floor: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Geometric cell edges (0, ... , Lambda] and their midpoints."""
-    cap = 100.0 * max(1.0, nu_max * nu_max)
-    edges = np.concatenate(([0.0], np.geomspace(floor, cap, cells)))
+    edges = np.concatenate(([0.0], _lambda_grid(nu_max, cells, floor)))
     mids = np.empty(cells)
     mids[0] = 0.5 * edges[1]
     mids[1:] = np.sqrt(edges[1:-1] * edges[2:])
@@ -472,7 +472,7 @@ def trace_identity_eq1(
     """Stieltjes-pair residual between the 2-D and 1-D trace integrals.
 
     lhs = integral over (0, inf) of xi_2d(lam) (lam - z)^(-2) dlam,
-    with xi_2d produced pointwise by the arcsine transform on a
+    with xi_2d produced by the arcsine transform on a
     geometric lam grid whose cell weights are the exact integrals of
     (lam - z)^(-2), so constants telescope to 1/(-z) with no quadrature
     error; the tail above the cap is the exact constant-tail term, and
@@ -504,11 +504,10 @@ def trace_identity_eq1(
 
     edges, mids = _lambda_cells(nu_max, lambda_cells)
     weights = 1.0 / (edges[:-1] - z) - 1.0 / (edges[1:] - z)
-    xi2d = np.array([pushnitski(evaluator, float(m), t_points=t_points) for m in mids])
-    core = complex(np.sum(xi2d * weights))
     cap = float(edges[-1])
-    tail_value = pushnitski(evaluator, cap, t_points=t_points)
-    tail_term = tail_value / (cap - z)
+    xi2d = pushnitski(evaluator, np.append(mids, cap), t_points=t_points)
+    core = complex(np.sum(xi2d[:-1] * weights))
+    tail_term = float(xi2d[-1]) / (cap - z)
     lhs = core + tail_term
     if abs(tail_term) > 0.1 * max(abs(lhs), 1e-30):
         raise CoverageError(

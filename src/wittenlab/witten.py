@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .profiles import PotentialProfile, _check_mollifier_index, c0
-from .ssf import SSFCurve, SSFKind, _extended_evaluator, pushnitski, ssf_mollified
+from .ssf import SSFCurve, SSFKind, _extended_evaluator, _lambda_grid, pushnitski, ssf_mollified
 
 __all__ = ["WittenReport", "delta_r", "witten_index"]
 
@@ -74,33 +74,37 @@ class WittenReport:
         }
 
 
-def delta_r(xi_2d: SSFCurve, lam: float) -> float:
+def delta_r(xi_2d: SSFCurve, lam: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """(-lam) times the (mu - lam)^(-2)-weighted integral of a 2-D curve.
 
     The sampled curve is integrated exactly as the piecewise-linear
     interpolant (elementary antiderivatives per cell); below the first
     sample and above the last the curve is continued as a constant,
     both segments integrating in closed form.  A constant curve
-    therefore returns exactly its value for every lam < 0.
+    therefore returns exactly its value for every lam < 0.  A scalar
+    lam returns a float; a vector of lam is evaluated as one (lam, cell)
+    array, each entry equal to the scalar call.
     """
-    lam = float(lam)
-    if not lam < 0.0:
-        raise ValueError(f"lam must be negative, got {lam:g}")
+    lams = np.asarray(lam, dtype=float)
+    bad = lams[~(lams < 0.0)]
+    if bad.size:
+        raise ValueError(f"lam must be negative, got {bad[0]:g}")
     if xi_2d.kind is not SSFKind.TWO_DIM:
         raise ValueError("delta_r expects a 2-D curve")
     g = xi_2d.grid
     v = xi_2d.values
     if len(g) < 2:
         raise ValueError("curve must have at least 2 samples")
-    u = g - lam
-    bottom = v[0] * (1.0 / (-lam) - 1.0 / u[0])
+    col = lams[..., None]
+    u = g - col
+    bottom = v[0] * (1.0 / (-lams) - 1.0 / u[..., 0])
     slope = np.diff(v) / np.diff(g)
     intercept = v[:-1] - slope * g[:-1]
-    cells = (intercept + slope * lam) * (1.0 / u[:-1] - 1.0 / u[1:]) + slope * np.log(
-        u[1:] / u[:-1]
+    cells = (intercept + slope * col) * (1.0 / u[..., :-1] - 1.0 / u[..., 1:]) + slope * np.log(
+        u[..., 1:] / u[..., :-1]
     )
-    tail = v[-1] / u[-1]
-    return float((-lam) * (bottom + float(np.sum(cells)) + tail))
+    out = (-lams) * (bottom + np.sum(cells, axis=-1) + v[-1] / u[..., -1])
+    return out if out.ndim else float(out)
 
 
 def _order_estimates(errors: Sequence[float], ratios: Sequence[float], floor: float) -> list:
@@ -175,19 +179,17 @@ def witten_index(
     nu_grid = np.linspace(-nu_max, nu_max, nu_points)
     provenance["nu_points"] = nu_points
 
-    cap = 100.0 * max(1.0, nu_max * nu_max)
     floor = min(1e-6, 1e-3 * float(np.min(np.abs(lam_sched))))
-    lam_grid = np.geomspace(floor, cap, lambda_cells)
+    lam_grid = _lambda_grid(nu_max, lambda_cells, floor)
 
     delta_per_n = []
     for n in schedule:
         curve = ssf_mollified(profile, n, nu_grid, N, tail_eps=tail_eps, threads=threads)
-        evaluator = _extended_evaluator(curve)
-        xi2d = np.array([pushnitski(evaluator, float(m), t_points=t_points) for m in lam_grid])
+        xi2d = pushnitski(_extended_evaluator(curve), lam_grid, t_points=t_points)
         two_dim = SSFCurve(
             grid=lam_grid, values=xi2d, kind=SSFKind.TWO_DIM, provenance={"n": n}
         )
-        delta_per_n.append(np.array([delta_r(two_dim, lam) for lam in lam_sched]))
+        delta_per_n.append(delta_r(two_dim, lam_sched))
     delta_per_n = np.array(delta_per_n)
 
     def lam_limit(deltas: np.ndarray) -> float:

@@ -10,7 +10,7 @@ and tail handling before the determinant pipeline enters.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wittenlab import ssf
 from wittenlab import (
@@ -150,6 +150,8 @@ def test_pushnitski_constants_exact():
     for lam in (0.1, 1.0, 100.0):
         assert abs(pushnitski(0.73, lam) - 0.73) < 1e-14
     assert pushnitski(0.0, 5.0) == 0.0
+    lams = np.array([0.1, 1.0, 100.0])
+    assert_array_equal(pushnitski(0.73, lams), [pushnitski(0.73, lam) for lam in lams])
 
 
 def test_pushnitski_odd_and_quadratic():
@@ -159,6 +161,9 @@ def test_pushnitski_odd_and_quadratic():
     # xi = nu^2 maps to lam/2: mean of lam sin^2 over the midpoint grid
     for lam in (0.5, 4.0):
         assert_allclose(pushnitski(lambda nu: nu**2, lam), lam / 2.0, rtol=1e-12)
+    f = lambda nu: np.sin(nu) + nu**2
+    lams = np.geomspace(0.01, 50.0, 7)
+    assert_array_equal(pushnitski(f, lams), [pushnitski(f, lam) for lam in lams])
 
 
 def test_pushnitski_curve_source_and_coverage():
@@ -167,6 +172,12 @@ def test_pushnitski_curve_source_and_coverage():
     assert_allclose(pushnitski(curve, 4.0), 0.42, rtol=1e-13)
     with pytest.raises(CoverageError):
         pushnitski(curve, 16.0)  # needs [-4, 4], curve stops at 3
+    ramp = SSFCurve(grid=grid, values=np.tanh(grid) + grid**2,
+                    kind=SSFKind.ONE_DIM_MOLLIFIED)
+    lams = np.array([0.3, 2.0, 4.0, 9.0])
+    assert_array_equal(pushnitski(ramp, lams), [pushnitski(ramp, lam) for lam in lams])
+    with pytest.raises(CoverageError, match="lam = 16"):
+        pushnitski(ramp, np.array([0.3, 16.0, 4.0]))
 
 
 def test_pushnitski_validation():
@@ -178,6 +189,8 @@ def test_pushnitski_validation():
         pushnitski(1.0, 1.0, t_points=2)
     with pytest.raises(TypeError):
         pushnitski("xi", 1.0)
+    with pytest.raises(ValueError, match="got 0"):
+        pushnitski(1.0, np.array([0.5, 0.0, 2.0]))
 
 
 def test_ssf_2d_constant_input_is_flat():

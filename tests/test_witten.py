@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wittenlab import (
     SSFCurve,
@@ -76,6 +76,8 @@ def test_delta_r_linear_segment_quadrature():
     tail = 0.7 / (2.0 + 0.8)
     expected = 0.8 * (bottom + inner + tail)
     assert_allclose(delta_r(curve, lam), expected, rtol=1e-10)
+    lams = np.array([-2.0, -0.8, -0.3, -1e-3])
+    assert_array_equal(delta_r(curve, lams), [delta_r(curve, lam) for lam in lams])
 
 
 def test_delta_r_validation():
@@ -84,6 +86,8 @@ def test_delta_r_validation():
         delta_r(curve, 0.0)
     with pytest.raises(ValueError):
         delta_r(curve, 1.0)
+    with pytest.raises(ValueError, match="got 0"):
+        delta_r(curve, np.array([-1.0, 0.0, -0.5]))
     one_dim = SSFCurve(grid=np.array([-1.0, 1.0]), values=np.zeros(2),
                        kind=SSFKind.ONE_DIM_MOLLIFIED)
     with pytest.raises(ValueError, match="2-D"):
