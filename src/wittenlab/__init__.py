@@ -33,7 +33,6 @@ from .discretize import (
     QuadratureGrid,
     assemble,
     bs_matrix,
-    bs_matrix_mollified,
     build_grid,
     fourier_pair,
     trace_gz_diff,
@@ -82,7 +81,6 @@ __all__ = [
     "build_grid",
     "assemble",
     "bs_matrix",
-    "bs_matrix_mollified",
     "fourier_pair",
     "trace_gz_diff",
     "det_complex",

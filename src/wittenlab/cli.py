@@ -9,16 +9,14 @@ identity failed.
 
 All emitted floating-point text is rounded to 12 significant digits,
 CSV uses LF endings, and JSON keys are sorted, so identical configs
-produce byte-identical outputs.  --threads (or WITTENLAB_THREADS) is
-accepted and validated but does not change the work: each determinant
-sweep is one vectorized pass.
+produce byte-identical outputs.  Each determinant sweep is one
+vectorized pass, so there is no thread count to set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -72,18 +70,6 @@ def _load_profile(args) -> PotentialProfile:
     return profile_from_descriptor(descriptor)
 
 
-def _resolve_threads(args) -> Optional[int]:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("WITTENLAB_THREADS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"WITTENLAB_THREADS must be an integer, got {env!r}") from None
-
-
 def _nu_points(args) -> int:
     """The sweep node count; unset (witten, verify) means nodes + 1."""
     if args.nu_max <= 0.0:
@@ -100,9 +86,7 @@ def _nu_grid(args) -> np.ndarray:
 
 def cmd_ssf1d(args) -> int:
     profile = _load_profile(args)
-    curve = ssf_mollified(
-        profile, args.n, _nu_grid(args), args.nodes, threads=_resolve_threads(args)
-    )
+    curve = ssf_mollified(profile, args.n, _nu_grid(args), args.nodes)
     sidecar = {
         "c0": c0(profile),
         "endpoint_magnitude": curve.endpoint_magnitude,
@@ -130,9 +114,7 @@ def cmd_ssf2d(args) -> int:
     if args.constant_input:
         curve = ssf_2d_curve(c0(profile), lam_grid)
     else:
-        base = ssf_mollified(
-            profile, args.n, _nu_grid(args), args.nodes, threads=_resolve_threads(args)
-        )
+        base = ssf_mollified(profile, args.n, _nu_grid(args), args.nodes)
         curve = ssf_2d_curve(base, lam_grid, eta_correction=not args.keep_eta_term)
     spread = float(np.max(curve.values) - np.min(curve.values))
     if args.format == "csv":
@@ -158,7 +140,6 @@ def cmd_witten(args) -> int:
         N=args.nodes,
         nu_max=args.nu_max,
         nu_points=_nu_points(args),
-        threads=_resolve_threads(args),
     )
     _write_json(args.out + ".json", report.to_json_dict())
     print(f"{'lambda':>14}  {'Delta_r':>16}")
@@ -178,11 +159,10 @@ def cmd_witten(args) -> int:
 def cmd_verify(args) -> int:
     profile = _load_profile(args)
     nu_points = _nu_points(args)
-    threads = _resolve_threads(args)
     all_ok = True
     for name, check in INVARIANTS:
         try:
-            ok, detail = check(profile, args.nodes, args.nu_max, nu_points, threads)
+            ok, detail = check(profile, args.nodes, args.nu_max, nu_points)
         except (RefinementNeededError, NearSingularError, CoverageError, ValueError) as exc:
             ok, detail = False, f"aborted: {exc}"
         all_ok &= ok
@@ -205,13 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu-max", type=float, default=12.0, help="sweep half-width (default 12)")
         points_help = f"sweep node count (default {nu_points or 'nodes + 1'})"
         p.add_argument("--nu-points", type=int, default=nu_points, help=points_help)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted and validated (at least 1) but does not change the work "
-            "(default: WITTENLAB_THREADS or 1)",
-        )
         if default_out is not None:
             p.add_argument("--out", default=default_out, help="output basename")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -161,43 +161,24 @@ def hs_norm(T: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(T), ord="fro"))
 
 
-def phase_curve(
-    nu_grid: np.ndarray,
-    matrices: Optional[Sequence[np.ndarray] | Callable[[float], np.ndarray]] = None,
-    *,
-    det2_values: Optional[np.ndarray] = None,
-    enforce_decay: bool = True,
-) -> PhaseCurve:
+def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
     """Track the continuous phase of det2 along an ascending nu grid.
 
-    Either precomputed det2 values or a family of matrices (sequence
-    aligned with the grid, or a callable of nu) must be supplied.  With
-    enforce_decay (the default for Birman-Schwinger sweeps) the curve
-    must start and end near det2 = 1: the anchor phase and the far-end
-    unwrapped phase must both lie within pi/4 of 0, and |det2 - 1| must
-    be below 0.2 at both ends, else the sweep window is too narrow.
-    Synthetic families that genuinely wind can disable the decay checks
-    and keep only the near-singular and jump contracts.
+    det2_values holds det2(I + T(nu)) at each grid point, and every
+    contract of a Birman-Schwinger sweep applies: |det2| stays above
+    1e-12; the curve starts and ends near det2 = 1 (|det2 - 1| below
+    0.2, the anchor phase and the far-end unwrapped phase within pi/4
+    of 0), else the sweep window is too narrow; and no adjacent phase
+    step reaches pi/2.  In between, the phase may travel any distance.
     """
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or len(nu) < 2:
         raise ValueError("nu_grid must be a 1-D vector with at least 2 points")
     if not np.all(np.diff(nu) > 0.0):
         raise ValueError("nu_grid must be strictly increasing")
-
-    if det2_values is not None:
-        values = np.asarray(det2_values, dtype=complex)
-        if values.shape != nu.shape:
-            raise ValueError("det2_values length does not match nu_grid")
-    elif matrices is not None:
-        if callable(matrices):
-            values = np.array([det2(matrices(float(v))) for v in nu])
-        else:
-            if len(matrices) != len(nu):
-                raise ValueError("matrix family length does not match nu_grid")
-            values = np.array([det2(m) for m in matrices])
-    else:
-        raise ValueError("supply either matrices or det2_values")
+    values = np.asarray(det2_values, dtype=complex)
+    if values.shape != nu.shape:
+        raise ValueError("det2_values length does not match nu_grid")
 
     mags = np.abs(values)
     small = np.nonzero(mags < 1e-12)[0]
@@ -210,18 +191,17 @@ def phase_curve(
             magnitude=float(mags[i]),
         )
 
-    if enforce_decay:
-        for end in (0, -1):
-            dist = abs(values[end] - 1.0)
-            if dist >= 0.2:
-                raise RefinementNeededError(
-                    f"|det2 - 1| = {dist:.3f} at nu = {nu[end]:g}; the sweep "
-                    f"window must extend until the determinant settles near 1",
-                    interval=(float(nu[0]), float(nu[-1])),
-                )
+    for end in (0, -1):
+        dist = abs(values[end] - 1.0)
+        if dist >= 0.2:
+            raise RefinementNeededError(
+                f"|det2 - 1| = {dist:.3f} at nu = {nu[end]:g}; the sweep "
+                f"window must extend until the determinant settles near 1",
+                interval=(float(nu[0]), float(nu[-1])),
+            )
 
     anchor_phase = float(np.angle(values[0]))
-    if enforce_decay and abs(anchor_phase) >= np.pi / 4:
+    if abs(anchor_phase) >= np.pi / 4:
         raise RefinementNeededError(
             f"anchor phase {anchor_phase:.3f} at nu = {nu[0]:g} is not near 0; "
             f"enlarge the sweep window",
@@ -238,7 +218,7 @@ def phase_curve(
         )
     unwrapped = np.concatenate(([anchor_phase], anchor_phase + np.cumsum(steps)))
 
-    if enforce_decay and abs(float(unwrapped[-1])) >= np.pi / 4:
+    if abs(float(unwrapped[-1])) >= np.pi / 4:
         raise RefinementNeededError(
             f"far-end phase {unwrapped[-1]:.3f} at nu = {nu[-1]:g} has not "
             f"decayed; suspected missed winding, refine the sweep",

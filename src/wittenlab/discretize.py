@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 
 from .determinants import RefinementNeededError
-from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel, bs_kernel_mollified
+from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "build_grid",
     "assemble",
     "bs_matrix",
-    "bs_matrix_mollified",
     "MollifiedBSFamily",
     "fourier_pair",
     "trace_band",
@@ -80,8 +79,6 @@ class BirmanSchwingerMatrix:
     """Symmetrized Nyström matrix T_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j)."""
 
     entries: np.ndarray
-    spectral_point: Optional[SpectralPoint] = None
-    mollifier: Optional[int] = None
 
     @property
     def trace(self) -> complex:
@@ -179,10 +176,7 @@ def build_grid(profile: PotentialProfile, N: int, tail_eps: float = 1e-12) -> Qu
 
 
 def assemble(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid: QuadratureGrid,
-    spectral_point: Optional[SpectralPoint] = None,
-    mollifier: Optional[int] = None,
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: QuadratureGrid
 ) -> BirmanSchwingerMatrix:
     """Symmetrized Nyström discretization of a pointwise kernel.
 
@@ -201,10 +195,7 @@ def assemble(
             f"x={x[i]:.6g}, x'={x[j]:.6g}"
         )
     sqw = np.sqrt(grid.weights)
-    entries = sqw[:, None] * raw * sqw[None, :]
-    return BirmanSchwingerMatrix(
-        entries=entries, spectral_point=spectral_point, mollifier=mollifier
-    )
+    return BirmanSchwingerMatrix(entries=sqw[:, None] * raw * sqw[None, :])
 
 
 def bs_matrix(
@@ -215,21 +206,7 @@ def bs_matrix(
     Strictly triangular on a sorted grid (diagonal-zero convention), so
     its Carleman determinant is exactly 1 in exact arithmetic.
     """
-    return assemble(
-        lambda x, xp: bs_kernel(profile, point, x, xp), grid, spectral_point=point
-    )
-
-
-def bs_matrix_mollified(
-    profile: PotentialProfile, n: int, point: SpectralPoint, grid: QuadratureGrid
-) -> BirmanSchwingerMatrix:
-    """Nyström matrix of the mollified Birman-Schwinger kernel."""
-    return assemble(
-        lambda x, xp: bs_kernel_mollified(profile, n, point, x, xp),
-        grid,
-        spectral_point=point,
-        mollifier=_check_mollifier_index(n),
-    )
+    return assemble(lambda x, xp: bs_kernel(profile, point, x, xp), grid)
 
 
 class MollifiedBSFamily:
@@ -243,8 +220,9 @@ class MollifiedBSFamily:
     near branch, where both branches agree since c_osc - c_far = c_near.
     generators(nu_grid) returns that structure for a whole sweep, which
     det2_quasiseparable eliminates in O(N) per point; matrix(nu)
-    assembles one dense matrix, agreeing with bs_matrix_mollified to
-    rounding, as the oracle of the structured path.
+    assembles one dense matrix, the package's only dense view of the
+    mollified kernel and the oracle of the structured path.  It agrees
+    with assemble() over kernels.bs_kernel_mollified to rounding.
     """
 
     def __init__(self, profile: PotentialProfile, n: int, grid: QuadratureGrid, side: str = "upper"):
@@ -252,7 +230,6 @@ class MollifiedBSFamily:
             raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
         self.n = _check_mollifier_index(n)
         self.grid = grid
-        self.side = side
         phi = np.asarray(profile.phi(grid.nodes), dtype=float)
         u = np.sqrt(grid.weights) * np.sqrt(np.abs(phi))
         upper = side == "upper"
@@ -271,12 +248,7 @@ class MollifiedBSFamily:
         # the diagonal takes the far branch above the axis and the near one below
         near = diff < 0.0 if self._s > 0 else diff >= 0.0
         factor = np.where(near, c_near * decay, c_osc * plane - c_far * decay)
-        entries = self._row[:, None] * factor * self._col[None, :]
-        return BirmanSchwingerMatrix(
-            entries=entries,
-            spectral_point=SpectralPoint.boundary(float(nu), self.side),
-            mollifier=self.n,
-        )
+        return BirmanSchwingerMatrix(entries=self._row[:, None] * factor * self._col[None, :])
 
     def generators(self, nu_grid: np.ndarray) -> tuple:
         """(diag, lower, upper) of every matrix(nu) in the sweep, as det2_quasiseparable takes them.

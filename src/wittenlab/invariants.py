@@ -1,8 +1,8 @@
 """The invariant suite: each identity behind the index, defined once.
 
 INVARIANTS lists what ``wittenlab verify`` checks, in print order, as
-(name, check) pairs; a check maps (profile, N, nu_max, nu_points,
-threads) to (ok, detail).  The acceptance criteria call the same
+(name, check) pairs; a check maps (profile, N, nu_max, nu_points) to
+(ok, detail).  The acceptance criteria call the same
 measurement functions against the same tolerances, adding stricter
 requirements of their own.
 
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .determinants import det2, hs_norm
-from .discretize import QuadratureGrid, bs_matrix, bs_matrix_mollified, build_grid
+from .discretize import MollifiedBSFamily, QuadratureGrid, bs_matrix, build_grid
 from .kernels import SpectralPoint, scattering_matrix
 from .profiles import PotentialProfile, c0
 from .ssf import krein_check_trn, ssf_mollified, trace_identity_eq1
@@ -58,8 +58,9 @@ def decay_ratio(profile: PotentialProfile, grid: QuadratureGrid) -> float:
     l1 = profile.l1_norm
     worst = 0.0
     for n in (2, 8):
+        family = MollifiedBSFamily(profile, n, grid)
         for nu in (0.0, 2.0, 5.0):
-            T = bs_matrix_mollified(profile, n, SpectralPoint.boundary(nu), grid).entries
+            T = family.matrix(nu).entries
             bound = 2.5 * n * n / (nu * nu + n * n) * l1 * l1 * HS_SLACK
             worst = max(worst, hs_norm(T) ** 2 / bound)
     return worst
@@ -75,16 +76,16 @@ def scattering_phase_gap(profile: PotentialProfile) -> float:
     return abs(scattering_matrix(profile) - np.exp(-2j * math.pi * c0(profile)))
 
 
-def krein_residual(profile, N, nu_max=12.0, nu_points=None, threads=None, M=1024) -> float:
+def krein_residual(profile, N, nu_max=12.0, nu_points=None, M=1024) -> float:
     """Resolvent trace formula residual at n = 4, z = -1 (see krein_check_trn)."""
     return krein_check_trn(profile, 4, -1.0, N=N, nu_max=nu_max, nu_points=nu_points,
-                           M=M, threads=threads).residual
+                           M=M).residual
 
 
-def stieltjes_residual(profile, N, nu_max=12.0, nu_points=None, threads=None) -> float:
+def stieltjes_residual(profile, N, nu_max=12.0, nu_points=None) -> float:
     """Relative Stieltjes-pair residual at n = 8, z = -1 (see trace_identity_eq1)."""
-    return trace_identity_eq1(profile, 8, -1.0, N=N, nu_max=nu_max, nu_points=nu_points,
-                              threads=threads).relative_residual
+    return trace_identity_eq1(profile, 8, -1.0, N=N, nu_max=nu_max,
+                              nu_points=nu_points).relative_residual
 
 
 def synthetic_deviation(profile: PotentialProfile, nu_max: float = 12.0) -> float:
@@ -109,9 +110,9 @@ def _mollified_decay(profile, N, *_):
     return worst <= tol, f"max squared-norm/bound ratio {worst:.6g} vs {tol:g}"
 
 
-def _mollifier_limit(profile, N, nu_max, nu_points, threads):
+def _mollifier_limit(profile, N, nu_max, nu_points):
     grid = np.linspace(-nu_max, nu_max, nu_points)
-    curves = [ssf_mollified(profile, n, grid, N, threads=threads) for n in (2, 4, 8, 16, 32)]
+    curves = [ssf_mollified(profile, n, grid, N) for n in (2, 4, 8, 16, 32)]
     errors = origin_errors(profile, curves)
     monotone = all(b <= a * 1.000001 + 1e-12 for a, b in zip(errors, errors[1:]))
     listed = ", ".join(f"{e:.2e}" for e in errors)
@@ -120,7 +121,7 @@ def _mollifier_limit(profile, N, nu_max, nu_points, threads):
 
 
 def _below(tol: float, label: str, measure):
-    """The check measure(profile, N, nu_max, nu_points, threads) < tol."""
+    """The check measure(profile, N, nu_max, nu_points) < tol."""
     def check(*args):
         value = measure(*args)
         return value < tol, f"{label} {value:.3e} vs tol {tol_text(tol)}"

@@ -213,7 +213,7 @@ def ssf_mollified(
         raise ValueError("nu_grid must be a 1-D vector with at least 2 points")
     if not np.all(np.diff(nu) > 0.0):
         raise ValueError("nu_grid must be strictly increasing")
-    if not np.allclose(nu, -nu[::-1], atol=1e-9):
+    if not np.allclose(nu, -nu[::-1], rtol=0.0, atol=1e-9):
         raise ValueError("nu_grid must be symmetric about 0")
     if profile.l1_norm == 0.0:
         return _zero_curve(nu, n, N)
@@ -224,7 +224,7 @@ def ssf_mollified(
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, n, grid)
     values = _checked_sweep(family, nu)
-    pc = phase_curve(nu, det2_values=values)
+    pc = phase_curve(nu, values)
     xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, n, nu))) / math.pi
     curve = SSFCurve(
         grid=nu,
@@ -314,9 +314,9 @@ def _extended_evaluator(
 
     def evaluate(nu):
         nu = np.asarray(nu, dtype=float)
-        inside = np.abs(nu) <= span
-        tail = np.full(nu.shape, limit) if eta_correction else _eta_over_pi(total, n, nu)
-        out = np.where(inside, np.interp(nu, grid, inner), tail)
+        outside = np.abs(nu) > span
+        out = np.asarray(np.interp(nu, grid, inner))
+        out[outside] = limit if eta_correction else _eta_over_pi(total, n, nu[outside])
         return out if out.ndim else float(out)
 
     return evaluate

@@ -143,8 +143,8 @@ def test_criterion_04_mollifier_convergence(sweep_curves):
 
 
 def test_criterion_05_krein_cross_check():
-    base = krein_residual(GAUSS, 400, M=1024, threads=THREADS)
-    fine = krein_residual(GAUSS, 800, M=2048, threads=THREADS)
+    base = krein_residual(GAUSS, 400, M=1024)
+    fine = krein_residual(GAUSS, 800, M=2048)
     ok = base < KREIN_TOL and fine <= 0.5 * base + 1e-15
     verdict(
         5, "Krein trace cross-check",
@@ -156,7 +156,7 @@ def test_criterion_05_krein_cross_check():
 
 
 def test_criterion_06_stieltjes_pair():
-    rel = stieltjes_residual(GAUSS, 400, threads=THREADS)
+    rel = stieltjes_residual(GAUSS, 400)
     syn_err = synthetic_deviation(GAUSS)
     ok = rel < STIELTJES_TOL and syn_err < SYNTHETIC_TOL
     verdict(

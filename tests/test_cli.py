@@ -54,8 +54,8 @@ def test_ssf1d_csv_output(tmp_path, profile_file):
 def test_ssf1d_routine_is_deterministic(tmp_path, profile_file):
     profile = profile_file(GAUSS_DESC)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert run_ssf1d(profile, out_a, "--threads", "1") == 0
-    assert run_ssf1d(profile, out_b, "--threads", "4") == 0
+    assert run_ssf1d(profile, out_a) == 0
+    assert run_ssf1d(profile, out_b) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -96,6 +96,9 @@ def test_unknown_arguments_exit_1(capsys):
     assert main(["verify", "--format", "json"]) == 1
     assert main(["verify", "--out", "x"]) == 1
     assert main(["witten", "--format", "json"]) == 1
+    # a sweep is one vectorized pass, so no subcommand takes a thread count
+    for command in ("ssf-1d", "ssf-2d", "witten", "verify"):
+        assert main([command, "--threads", "2"]) == 1
 
 
 def test_sweep_points_validated(capsys):
@@ -160,7 +163,7 @@ def test_witten_coarse_run(tmp_path, profile_file, capsys):
     out = str(tmp_path / "report")
     code = main([
         "witten", "--profile", profile_file(GAUSS_DESC), "--n-schedule", "2,4",
-        "--nodes", "200", "--nu-max", "6", "--threads", "2", "--out", out,
+        "--nodes", "200", "--nu-max", "6", "--out", out,
     ])
     assert code == 0
     payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
@@ -177,14 +180,6 @@ def test_witten_bad_schedule(tmp_path, profile_file, capsys):
         "--out", str(tmp_path / "x"),
     ])
     assert code == 1
-
-
-def test_threads_env_fallback(tmp_path, profile_file, monkeypatch):
-    monkeypatch.setenv("WITTENLAB_THREADS", "2")
-    out = str(tmp_path / "env")
-    assert run_ssf1d(profile_file(GAUSS_DESC), out) == 0
-    monkeypatch.setenv("WITTENLAB_THREADS", "junk")
-    assert run_ssf1d(profile_file(GAUSS_DESC), str(tmp_path / "env2")) == 1
 
 
 def test_verify_zero_profile_passes(tmp_path, profile_file, capsys):

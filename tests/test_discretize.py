@@ -2,7 +2,8 @@
 
 The grid must integrate the profile to truncation accuracy, the BS
 matrix must inherit the kernel's strict triangularity, the cached
-sweep family must agree entry-for-entry with the direct assembly, and
+sweep family's dense matrix must agree entry-for-entry with the
+Nyström assembly of the pointwise mollified kernel, and
 the plane-wave pair must reproduce the analytically known Fourier
 transforms of the builtin profiles, and its banded trace must stay
 within its certified bound of the dense one.
@@ -20,8 +21,8 @@ from wittenlab import (
     QuadratureGrid,
     RefinementNeededError,
     SpectralPoint,
+    bs_kernel_mollified,
     bs_matrix,
-    bs_matrix_mollified,
     build_grid,
     builtin_profile,
     eta_n_im,
@@ -150,7 +151,7 @@ def test_mollified_trace_reproduces_eta():
     """
     grid = build_grid(GAUSS, 400)
     for n, nu in ((2, 0.0), (8, 1.5), (32, -7.0)):
-        matrix = bs_matrix_mollified(GAUSS, n, SpectralPoint.boundary(nu), grid)
+        matrix = MollifiedBSFamily(GAUSS, n, grid).matrix(nu)
         assert_allclose(matrix.trace.imag, eta_n_im(GAUSS, n, nu), atol=1e-10)
 
 
@@ -159,16 +160,14 @@ def test_family_matches_direct_assembly():
     for side in ("upper", "lower"):
         family = MollifiedBSFamily(GAUSS, 4, grid, side=side)
         for nu in (-3.0, 0.0, 0.7, 5.0):
-            direct = bs_matrix_mollified(
-                GAUSS, 4, SpectralPoint.boundary(nu, side=side), grid
-            )
+            point = SpectralPoint.boundary(nu, side=side)
+            direct = assemble(lambda x, xp: bs_kernel_mollified(GAUSS, 4, point, x, xp), grid)
             assert_allclose(family.matrix(nu).entries, direct.entries, atol=1e-14)
 
 
 def test_hs_norm_is_cauchy_in_resolution():
-    point = SpectralPoint.boundary(1.0)
     norms = [
-        hs_norm(bs_matrix_mollified(GAUSS, 4, point, build_grid(GAUSS, N)).entries)
+        hs_norm(MollifiedBSFamily(GAUSS, 4, build_grid(GAUSS, N)).matrix(1.0).entries)
         for N in (400, 800)
     ]
     assert abs(norms[1] - norms[0]) < 1e-6

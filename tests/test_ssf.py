@@ -52,6 +52,11 @@ def test_ssf_mollified_zero_profile():
 def test_ssf_mollified_grid_validation():
     with pytest.raises(ValueError, match="symmetric"):
         ssf_mollified(GAUSS, 2, np.linspace(-3.0, 4.0, 15), 200)
+    # asymmetric by 1e-4 at the far end, inside a relative tolerance of 1e-5 * 12
+    skewed = np.linspace(-12.0, 12.0, 401)
+    skewed[-1] = 12.0001
+    with pytest.raises(ValueError, match="symmetric"):
+        ssf_mollified(GAUSS, 2, skewed, 400)
     with pytest.raises(ValueError, match="increasing"):
         ssf_mollified(GAUSS, 2, np.array([1.0, 0.0, -1.0]), 200)
     with pytest.raises(ValueError):
