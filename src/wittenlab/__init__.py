@@ -42,7 +42,7 @@ from .determinants import (
     PhaseCurve,
     RefinementNeededError,
     det2,
-    det2_quasiseparable,
+    det2_semiseparable,
     det_complex,
     hs_norm,
     phase_curve,
@@ -85,7 +85,7 @@ __all__ = [
     "trace_gz_diff",
     "det_complex",
     "det2",
-    "det2_quasiseparable",
+    "det2_semiseparable",
     "hs_norm",
     "phase_curve",
     "PhaseCurve",

@@ -6,11 +6,12 @@ the Carleman (modified Fredholm) determinant det(I + T) exp(-tr T),
 the natural determinant for Hilbert-Schmidt perturbations; the raw
 determinant comes from a dense LU factorization with the magnitude
 accumulated in log space so that large matrices cannot overflow during
-the pivot product.  Sweeps of structured matrices skip the dense
-matrix altogether: det2_quasiseparable eliminates over the Eidelman-
-Gohberg generators of a diagonal-plus-semiseparable T in O(N r s) per
-point, vectorized over a batch of points, and the dense det2 remains
-its oracle.
+the pivot product.  Sweeps skip the dense matrix altogether:
+det2_semiseparable eliminates the one shape the mollified sweep
+produces, diagonal weights times a kernel of rank 2 on and below the
+diagonal and rank 1 above it (Eidelman-Gohberg), in O(N) per point.
+It runs over a whole batch of decay rates and wave numbers at once,
+two state numbers per matrix, and the dense det2 remains its oracle.
 
 Phase unwrapping is anchored at the leftmost sweep point, where the
 determinant must already be close to 1, and swept upward with a
@@ -34,7 +35,7 @@ __all__ = [
     "PhaseCurve",
     "det_complex",
     "det2",
-    "det2_quasiseparable",
+    "det2_semiseparable",
     "hs_norm",
     "phase_curve",
 ]
@@ -112,48 +113,95 @@ def det2(T: np.ndarray) -> complex:
     return value * cmath.exp(-complex(np.trace(T)))
 
 
-def det2_quasiseparable(diag, lower, upper) -> np.ndarray:
-    """det2(I + T) from diagonal-transition quasiseparable generators of T.
+# Pivots multiplied per log: a complex log costs about as much as 200
+# complex multiplies.  A block product that leaves double range is
+# replaced by the sum of its pivots' own logs.
+_PIVOT_BLOCK = 32
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
-    diag holds T_kk with shape (..., N); leading axes are a batch of
-    independent matrices (one per sweep point).  lower = (p, a, q) and
-    upper = (g, b, h) generate the off-diagonal parts of rank r and s,
 
-        T_ij = sum_c p[i,c] a[j,c] ... a[i-1,c] q[j,c]   for i > j,
-        T_ij = sum_c g[i,c] b[i,c] ... b[j-1,c] h[j,c]   for i < j,
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """e^(i theta) for real theta, from real cos and sin (in numpy faster than a complex exp)."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
-    where p, q broadcast to (..., N, r), g, h to (..., N, s), and the
-    transition factors a, b between adjacent nodes to (..., N - 1, r)
-    and (..., N - 1, s).  Gaussian elimination without pivoting carries
-    the r x s matrix Q^T A^{-1} G of the eliminated block, transported
-    to the current node, so with transition factors of modulus at most
-    1 nothing grows with the distance between nodes.  The pivots
-    multiply to det(I + T) and their logs are summed; a zero pivot
-    before the last one makes the value NaN rather than a guess.
+
+def _log_product(pivots: np.ndarray) -> np.ndarray:
+    """Sum of the logs of pivots along axis 0, as one log of their product where it is normal."""
+    product = np.prod(pivots, axis=0)
+    size = np.abs(product)
+    logs = np.log(size) + 1j * np.angle(product)
+    outside = ~((size >= _TINY) & (size <= _HUGE))
+    if outside.any():
+        logs[outside] = np.sum(np.log(pivots[:, outside]), axis=0)
+    return logs
+
+
+def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
+    """det2(I + T) over a batch of matrices of one rank-(2, 1) semiseparable shape.
+
+    On nodes x_1 < ... < x_N with gaps[k] = x_{k+1} - x_k, T = diag(weights) F,
+    where F depends on a decay rate n > 0 and a wave number w:
+
+        F_ij = c_near e^(-n (x_j - x_i))                               i < j,
+        F_ii = c_near,
+        F_ij = c_osc e^(i w (x_i - x_j)) - c_far e^(-n (x_i - x_j))   i > j,
+
+    rank 1 above the diagonal and rank 2 below it.  The batch runs over
+    rates (S,) and waves (P,), with coefficients = (c_near, c_osc, c_far)
+    broadcast to (S, P); the result has shape (S, P).  Gaussian
+    elimination without pivoting carries two numbers m_0, m_1 per matrix,
+    the rank-2 part of the eliminated block coupled through its inverse
+    to the rank-1 part: with v = weights_k (c_near - c_osc m_0 + c_far m_1)
+    the pivot is 1 + v, and m_c becomes (m_c + v) / (1 + v) times its
+    transition e^((i w - n) dx) or e^(-2 n dx).  These have modulus at
+    most 1, so nothing grows with the distance between nodes, and the
+    transition e^(i w dx) is shared by every rate.  The pivots multiply to
+    det(I + T), one log per block of _PIVOT_BLOCK nodes; a zero pivot
+    before the last node makes the value NaN rather than a guess.
     """
-    d = np.asarray(diag, dtype=complex)
-    *batch, N = d.shape
-    p, a, q = lower
-    g, b, h = upper
-    r, s = np.shape(p)[-1], np.shape(g)[-1]
-    p, q = (np.broadcast_to(v, (*batch, N, r)) for v in (p, q))
-    g, h = (np.broadcast_to(v, (*batch, N, s)) for v in (g, h))
-    a = np.broadcast_to(a, (*batch, N - 1, r))
-    b = np.broadcast_to(b, (*batch, N - 1, s))
-    m = np.zeros((*batch, r, s), dtype=complex)
-    log_det = np.zeros(batch, dtype=complex)
+    u = np.asarray(weights, dtype=complex)
+    dx = np.asarray(gaps, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    waves = np.asarray(waves, dtype=float)
+    if u.ndim != 1 or dx.shape != (len(u) - 1,):
+        raise ValueError("need N weights and N - 1 gaps")
+    if rates.ndim != 1 or waves.ndim != 1:
+        raise ValueError("rates and waves must be 1-D")
+    N = len(u)
+    shape = (len(rates), len(waves))
+    c_near, c_osc, c_far = (np.broadcast_to(c, shape) for c in coefficients)
+    m0 = np.zeros(shape, dtype=complex)
+    m1 = np.zeros(shape, dtype=complex)
+    log_det = np.zeros(shape, dtype=complex)
+    pivots = np.empty((_PIVOT_BLOCK, *shape), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(N):
-            mh = np.sum(m * h[..., k, None, :], axis=-1)
-            pm = np.sum(p[..., k, :, None] * m, axis=-2)
-            pivot = 1.0 + d[..., k] - np.sum(pm * h[..., k, :], axis=-1)
-            log_det += np.log(pivot)
-            if k < N - 1:
-                m = m + (q[..., k, :] - mh)[..., :, None] * (
-                    (g[..., k, :] - pm) / pivot[..., None]
-                )[..., None, :]
-                m *= a[..., k, :, None] * b[..., k, None, :]
-        return np.exp(log_det - np.sum(d, axis=-1))
+        for start in range(0, N, _PIVOT_BLOCK):
+            stop = min(start + _PIVOT_BLOCK, N)
+            block = dx[start:stop]
+            fall = np.exp(-np.multiply.outer(block, rates))[:, :, None]
+            osc_step = fall * _cis(np.multiply.outer(block, waves))[:, None, :]
+            # materialized: numpy multiplies equal-shape complex arrays faster
+            far_step = np.broadcast_to(fall * fall, osc_step.shape).astype(complex)
+            for j, k in enumerate(range(start, stop)):
+                e = c_near - c_osc * m0
+                e += c_far * m1
+                v = u[k] * e
+                pivot = np.add(1.0, v, out=pivots[j])
+                if k == N - 1:
+                    break
+                r = 1.0 / pivot
+                m0 += v
+                m0 *= r
+                m0 *= osc_step[j]
+                m1 += v
+                m1 *= r
+                m1 *= far_step[j]
+            log_det += _log_product(pivots[: stop - start])
+        return np.exp(log_det - c_near * np.sum(u))
 
 
 def hs_norm(T: np.ndarray) -> float:

@@ -24,12 +24,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigvals_banded
 
-from .determinants import RefinementNeededError
+from .determinants import RefinementNeededError, det2_semiseparable
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
@@ -41,6 +41,7 @@ __all__ = [
     "assemble",
     "bs_matrix",
     "MollifiedBSFamily",
+    "det2_sweep",
     "fourier_pair",
     "trace_band",
     "trace_gz_diff",
@@ -218,8 +219,9 @@ class MollifiedBSFamily:
     row_i col_j (c_osc e^(i nu d) - c_far e^(-n d)) on and below it
     (rank 2); the lower side is the mirror image, its diagonal on the
     near branch, where both branches agree since c_osc - c_far = c_near.
-    generators(nu_grid) returns that structure for a whole sweep, which
-    det2_quasiseparable eliminates in O(N) per point; matrix(nu)
+    A family holds one n; det2_sweep eliminates that structure (the
+    lower side through its transpose) for a whole schedule of families
+    sharing a grid at once, in O(N) per point and n.  matrix(nu)
     assembles one dense matrix, the package's only dense view of the
     mollified kernel and the oracle of the structured path.  It agrees
     with assemble() over kernels.bs_kernel_mollified to rounding.
@@ -250,28 +252,29 @@ class MollifiedBSFamily:
         factor = np.where(near, c_near * decay, c_osc * plane - c_far * decay)
         return BirmanSchwingerMatrix(entries=self._row[:, None] * factor * self._col[None, :])
 
-    def generators(self, nu_grid: np.ndarray) -> tuple:
-        """(diag, lower, upper) of every matrix(nu) in the sweep, as det2_quasiseparable takes them.
 
-        The transition factors e^(+/-i nu dx) and e^(-n dx) between
-        adjacent nodes have modulus at most 1, so the generators stay
-        bounded at any n (unscaled factors e^(+/-n x) overflow once
-        2 n L passes about 709).
-        """
-        nu = np.asarray(nu_grid, dtype=float)[:, None]
-        c_near, c_osc, c_far = _mollified_coefficients(self.n, nu, self._s)
-        dx = np.diff(self.grid.nodes)
-        decay = np.exp(-self.n * dx)
-        wave = np.exp(self._s * 1j * nu * dx)
-        col = self._col[:, None]
-        near = (self._row[:, None] * c_near[:, :, None], decay[:, None], col)
-        osc = (
-            self._row[:, None] * np.stack([c_osc, -c_far], axis=-1),
-            np.stack([wave, np.broadcast_to(decay, wave.shape)], axis=-1),
-            col,
-        )
-        diag = c_near * (self._row * self._col)
-        return (diag, osc, near) if self._s > 0 else (diag, near, osc)
+def det2_sweep(families: Sequence[MollifiedBSFamily], nu_grid: np.ndarray) -> np.ndarray:
+    """det2 of every family's matrix(nu) at every nu, shape (len(families), len(nu_grid)).
+
+    The families share one profile, grid and side and differ only in n,
+    so one det2_semiseparable elimination serves the whole schedule:
+    T = diag(row) F diag(col) has the determinant of diag(row col) F.
+    The lower side enters through its transpose, which has the upper
+    side's shape with the wave reversed, since det2(I + T) = det2(I + T^T).
+    """
+    first = families[0]
+    if any(f.grid is not first.grid or not np.array_equal(f._row, first._row) for f in families):
+        raise ValueError("the families of one sweep must share their profile, grid and side")
+    nu = np.asarray(nu_grid, dtype=float)
+    rates = np.array([f.n for f in families], dtype=float)
+    s = first._s
+    return det2_semiseparable(
+        first._row * first._col,
+        np.diff(first.grid.nodes),
+        rates,
+        s * nu,
+        _mollified_coefficients(rates[:, None], nu, s),
+    )
 
 
 def fourier_pair(

@@ -112,7 +112,7 @@ def _mollified_decay(profile, N, *_):
 
 def _mollifier_limit(profile, N, nu_max, nu_points):
     grid = np.linspace(-nu_max, nu_max, nu_points)
-    curves = [ssf_mollified(profile, n, grid, N) for n in (2, 4, 8, 16, 32)]
+    curves = ssf_mollified(profile, (2, 4, 8, 16, 32), grid, N)
     errors = origin_errors(profile, curves)
     monotone = all(b <= a * 1.000001 + 1e-12 for a, b in zip(errors, errors[1:]))
     listed = ", ".join(f"{e:.2e}" for e in errors)

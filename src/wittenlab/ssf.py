@@ -20,10 +20,10 @@ Fourier-side oracle, and the Stieltjes pair equating the lam-integral
 of xi_2d against the nu-integral of the 1-D curve.
 
 Everything here treats curves as immutable value objects.  A sweep
-takes det2 at every nu from the mollified kernel's generators in O(N)
-per point, all points at once (det2_quasiseparable), then checks the
-point of smallest |det2| against the dense LU det2 of the assembled
-matrix before the phase is tracked.
+takes det2 at every nu and every n of a mollifier schedule from one
+structured elimination, O(N) per point (det2_sweep), then, for each n
+in turn, checks the point of smallest |det2| against the dense LU det2
+of the assembled matrix before the phase is tracked.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .determinants import RefinementNeededError, det2, det2_quasiseparable, phase_curve
+from .determinants import RefinementNeededError, det2, phase_curve
 from .discretize import (
     MollifiedBSFamily,
     _require_off_halfline,
     build_grid,
+    det2_sweep,
     ensure_oscillation_resolved,
     fourier_pair,
     trace_band,
@@ -153,15 +154,14 @@ def _check_threads(threads: Optional[int]) -> None:
 _SPOT_CHECK_TOL = 1e-9
 
 
-def _checked_sweep(family: MollifiedBSFamily, nu_grid: np.ndarray) -> np.ndarray:
-    """det2 at every sweep point, spot-checked against the dense LU det2.
+def _spot_check(family: MollifiedBSFamily, nu_grid: np.ndarray, values: np.ndarray) -> None:
+    """Hold one structured sweep to the dense LU det2 at one point.
 
     The check runs where |det2| is smallest, where the elimination
     without pivoting is least well conditioned, or at the first NaN
     (a zero pivot), which argmin returns first; a disagreement beyond
     _SPOT_CHECK_TOL * (1 + |dense|) is refused with that point named.
     """
-    values = det2_quasiseparable(*family.generators(nu_grid))
     k = int(np.argmin(np.abs(values)))
     nu = float(nu_grid[k])
     dense = det2(family.matrix(nu).entries)
@@ -171,7 +171,6 @@ def _checked_sweep(family: MollifiedBSFamily, nu_grid: np.ndarray) -> np.ndarray
             f"{dense:.6g} at nu = {nu:g}",
             interval=(nu, nu),
         )
-    return values
 
 
 def _zero_curve(nu_grid: np.ndarray, n: int, N: int) -> SSFCurve:
@@ -192,22 +191,29 @@ def _zero_curve(nu_grid: np.ndarray, n: int, N: int) -> SSFCurve:
 
 def ssf_mollified(
     profile: PotentialProfile,
-    n: int,
+    n: Union[int, Sequence[int]],
     nu_grid: np.ndarray,
     N: int,
     *,
     tail_eps: float = 1e-12,
     threads: Optional[int] = None,
-) -> SSFCurve:
+) -> Union[SSFCurve, tuple]:
     """Mollified 1-D spectral shift function on a symmetric nu grid.
 
     Combines the unwrapped det2 phase of the mollified Birman-Schwinger
     sweep with the closed-form eta term; phase-tracking contract
     violations (untrackable jumps, undecayed endpoints, unresolved
     oscillations) propagate as refinement errors rather than being
-    papered over.
+    papered over.  An int n returns one curve; a sequence of n returns a
+    tuple of curves, one per n, from one elimination over the whole
+    schedule, each bitwise equal to the curve of its n alone.  The
+    spot check and the phase tracking run per n in schedule order, so
+    the error raised is the one a loop over n would raise first.
     """
-    n = _check_mollifier_index(n)
+    single = np.ndim(n) == 0
+    schedule = tuple(_check_mollifier_index(m) for m in np.atleast_1d(n))
+    if not schedule:
+        raise ValueError("the n schedule must be nonempty")
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or len(nu) < 2:
         raise ValueError("nu_grid must be a 1-D vector with at least 2 points")
@@ -216,29 +222,34 @@ def ssf_mollified(
     if not np.allclose(nu, -nu[::-1], rtol=0.0, atol=1e-9):
         raise ValueError("nu_grid must be symmetric about 0")
     if profile.l1_norm == 0.0:
-        return _zero_curve(nu, n, N)
+        curves = tuple(_zero_curve(nu, m, N) for m in schedule)
+        return curves[0] if single else curves
 
     _check_threads(threads)
     grid = build_grid(profile, N, tail_eps)
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
-    family = MollifiedBSFamily(profile, n, grid)
-    values = _checked_sweep(family, nu)
-    pc = phase_curve(nu, values)
-    xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, n, nu))) / math.pi
-    curve = SSFCurve(
-        grid=nu,
-        values=xi,
-        kind=SSFKind.ONE_DIM_MOLLIFIED,
-        provenance={
-            "N": N,
-            "n": n,
-            "nu_max": nu_max,
-            "total_integral": profile.total_integral,
-            "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
-        },
-    )
-    return curve
+    families = [MollifiedBSFamily(profile, m, grid) for m in schedule]
+    curves = []
+    for family, values in zip(families, det2_sweep(families, nu)):
+        _spot_check(family, nu, values)
+        pc = phase_curve(nu, values)
+        xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, family.n, nu))) / math.pi
+        curves.append(
+            SSFCurve(
+                grid=nu,
+                values=xi,
+                kind=SSFKind.ONE_DIM_MOLLIFIED,
+                provenance={
+                    "N": N,
+                    "n": family.n,
+                    "nu_max": nu_max,
+                    "total_integral": profile.total_integral,
+                    "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
+                },
+            )
+        )
+    return curves[0] if single else tuple(curves)
 
 
 def pushnitski(

@@ -136,12 +136,13 @@ def witten_index(
 ) -> WittenReport:
     """Full index pipeline against the closed-form reference.
 
-    One mollified curve per schedule entry, each transformed to 2-D and
-    integrated to Delta_r on the lam schedule; the mollifier is then
-    extrapolated away at second order and lam is extrapolated to 0
-    linearly.  The reported delta_r_values belong to the
-    mollifier-extrapolated curve (by linearity of every stage, these
-    are the extrapolated combinations of the per-n values).
+    One mollified curve per schedule entry, all from one ssf_mollified
+    sweep over the schedule, each transformed to 2-D and integrated to
+    Delta_r on the lam schedule; the mollifier is then extrapolated away
+    at second order and lam is extrapolated to 0 linearly.  The reported
+    delta_r_values belong to the mollifier-extrapolated curve (by
+    linearity of every stage, these are the extrapolated combinations of
+    the per-n values).
     """
     schedule = tuple(_check_mollifier_index(n) for n in n_schedule)
     if not schedule:
@@ -182,9 +183,9 @@ def witten_index(
     floor = min(1e-6, 1e-3 * float(np.min(np.abs(lam_sched))))
     lam_grid = _lambda_grid(nu_max, lambda_cells, floor)
 
+    curves = ssf_mollified(profile, schedule, nu_grid, N, tail_eps=tail_eps, threads=threads)
     delta_per_n = []
-    for n in schedule:
-        curve = ssf_mollified(profile, n, nu_grid, N, tail_eps=tail_eps, threads=threads)
+    for n, curve in zip(schedule, curves):
         xi2d = pushnitski(_extended_evaluator(curve), lam_grid, t_points=t_points)
         two_dim = SSFCurve(
             grid=lam_grid, values=xi2d, kind=SSFKind.TWO_DIM, provenance={"n": n}

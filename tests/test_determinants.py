@@ -7,7 +7,8 @@ exercised on synthetic det2 families whose continuous phase is known
 in closed form, including one whose phase climbs past pi and returns,
 which a naive principal-branch reading would fold back.  The structured det2
 of the sweep is held to the dense LU det2 over the mollifier indices,
-profile kinds, signs, widths, resolutions and both boundary sides.
+profile kinds, signs, widths, resolutions and both boundary sides, the
+lower side entering through its transpose.
 """
 
 import cmath
@@ -24,13 +25,13 @@ from wittenlab import (
     build_grid,
     builtin_profile,
     det2,
-    det2_quasiseparable,
+    det2_semiseparable,
     det_complex,
     hs_norm,
     phase_curve,
 )
 
-from wittenlab.discretize import MollifiedBSFamily
+from wittenlab.discretize import MollifiedBSFamily, det2_sweep
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 
@@ -170,64 +171,26 @@ def test_phase_curve_grid_validation():
         phase_curve(np.array([0.0, 1.0]), det2_values=np.ones(3, dtype=complex))
 
 
-def dense_from_generators(diag, lower, upper):
-    """The matrix T that quasiseparable generators describe, entry by entry."""
-    N = len(diag)
-
-    def full(node, transition, other):
-        rank = np.shape(node)[-1]
-        return (np.broadcast_to(node, (N, rank)), np.broadcast_to(transition, (N - 1, rank)),
-                np.broadcast_to(other, (N, rank)))
-
-    (p, a, q), (g, b, h) = full(*lower), full(*upper)
-    T = np.diag(np.asarray(diag, dtype=complex))
-    for i in range(N):
-        for j in range(N):
-            if i > j:
-                T[i, j] = np.sum(p[i] * np.prod(a[j:i], axis=0) * q[j])
-            elif i < j:
-                T[i, j] = np.sum(g[i] * np.prod(b[i:j], axis=0) * h[j])
-    return T
-
-
-def test_det2_quasiseparable_random_generators():
-    # ranks 2 below and 3 above, a batch of 4 matrices, transitions inside the unit disk
-    rng = np.random.default_rng(7)
-    N, batch = 12, 4
-
-    def cplx(*shape, scale=0.3):
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    diag = cplx(batch, N)
-    lower = (cplx(batch, N, 2), 0.9 * np.exp(1j * rng.uniform(0, 6, (batch, N - 1, 2))),
-             cplx(batch, N, 2))
-    upper = (cplx(batch, N, 3), rng.uniform(0.2, 1.0, (batch, N - 1, 3)), cplx(batch, N, 3))
-    values = det2_quasiseparable(diag, lower, upper)
-    assert values.shape == (batch,)
-    for k in range(batch):
-        T = dense_from_generators(diag[k], [v[k] for v in lower], [v[k] for v in upper])
-        assert_allclose(values[k], det2(T), rtol=1e-13)
-
-
 def test_det2_quasiseparable_zero_pivot_is_nan():
     N = 5
-    diag = np.zeros(N, dtype=complex)
-    diag[0] = -1.0  # the first pivot of I + T is 0
-    gens = (np.ones((N, 1)), np.full((N - 1, 1), 0.5), np.full((N, 1), 0.3))
-    assert np.isnan(det2_quasiseparable(diag, gens, gens))
+    weights = np.full(N, 0.3 + 0j)
+    weights[0] = -1.0  # with c_near = 1 the first pivot of I + T is 0
+    values = det2_semiseparable(weights, np.full(N - 1, 0.5), [1.0], [0.0], (1.0, 0.4, 0.2))
+    assert values.shape == (1, 1)
+    assert np.isnan(values[0, 0])
 
 
-@pytest.mark.parametrize("side", ("upper", "lower"))
-def test_family_generators_reproduce_matrix(side):
-    grid = build_grid(GAUSS, 24)
-    family = MollifiedBSFamily(GAUSS, 4, grid, side=side)
-    nu = np.array([-3.0, 0.0, 0.7])
-    diag, lower, upper = family.generators(nu)
-    for k, v in enumerate(nu):
-        # generators without a batch axis are shared by every sweep point
-        point = [[g[k] if np.ndim(g) == 3 else g for g in gens] for gens in (lower, upper)]
-        T = dense_from_generators(diag[k], *point)
-        assert_allclose(T, family.matrix(v).entries, rtol=0.0, atol=1e-15)
+def test_det2_semiseparable_pivot_blocks_leave_double_range():
+    # c_osc = c_far = 0 leaves I + T upper triangular with pivots 1 + w_k.
+    # The first two blocks of 32 pivots (1 +- 1e12 i) overflow as products,
+    # the last two (1e-12 i) underflow, and det2 itself is about e^64; the
+    # fast decay keeps the carried state small across the tiny pivots
+    weights = np.concatenate(
+        (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
+    )
+    values = det2_semiseparable(weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
+    expected = cmath.exp(sum(cmath.log(1.0 + w) for w in weights) - complex(np.sum(weights)))
+    assert_allclose(values[0, 0], expected, rtol=1e-12)
 
 
 MOLLIFIERS = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -250,7 +213,7 @@ def test_structured_det2_matches_dense(N, side):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         family = MollifiedBSFamily(profile, n, build_grid(profile, N), side=side)
-        structured = det2_quasiseparable(*family.generators(nu))
+        structured = det2_sweep([family], nu)[0]
         dense = np.array([det2(family.matrix(v).entries) for v in nu])
         assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
 
@@ -262,7 +225,21 @@ def test_structured_det2_does_not_overflow(side):
     assert 2 * 256 * grid.L > 709.0
     family = MollifiedBSFamily(GAUSS, 256, grid, side=side)
     nu = np.linspace(-12.0, 12.0, 9)
-    structured = det2_quasiseparable(*family.generators(nu))
+    structured = det2_sweep([family], nu)[0]
     assert np.all(np.isfinite(structured))
     dense = np.array([det2(family.matrix(v).entries) for v in nu])
     assert_allclose(structured, dense, rtol=1e-12)
+
+
+def test_det2_sweep_needs_one_profile_grid_and_side():
+    grid = build_grid(GAUSS, 64)
+    family = MollifiedBSFamily(GAUSS, 4, grid)
+    nu = np.array([-1.0, 1.0])
+    strangers = (
+        MollifiedBSFamily(GAUSS, 8, build_grid(GAUSS, 64)),
+        MollifiedBSFamily(builtin_profile("gaussian", 2.0, 1.0), 8, grid),
+        MollifiedBSFamily(GAUSS, 8, grid, side="lower"),
+    )
+    for stranger in strangers:
+        with pytest.raises(ValueError, match="must share"):
+            det2_sweep([family, stranger], nu)

@@ -100,21 +100,44 @@ def test_sweep_spot_checks_one_dense_det2(monkeypatch):
 
 @pytest.mark.parametrize("corruption", ("perturbed", "nan"))
 def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
-    exact = ssf.det2_quasiseparable
+    exact = ssf.det2_sweep
     nu = np.linspace(-8.0, 8.0, 161)
     if corruption == "perturbed":
         # every value 1e-6 off; the check looks where |det2| is smallest
         corrupt = lambda values: values * (1.0 + 1e-6)
-        values = exact(*MollifiedBSFamily(GAUSS, 2, build_grid(GAUSS, 300)).generators(nu))
+        values = exact([MollifiedBSFamily(GAUSS, 2, build_grid(GAUSS, 300))], nu)[0]
         refused = float(nu[np.argmin(np.abs(values))])
     else:
         # a zero pivot at one point; the check looks at the NaN
-        corrupt = lambda values: np.where(np.arange(len(values)) == 40, np.nan, values)
+        corrupt = lambda values: np.where(np.arange(values.shape[-1]) == 40, np.nan, values)
         refused = float(nu[40])
-    monkeypatch.setattr(ssf, "det2_quasiseparable", lambda *g: corrupt(exact(*g)))
+    monkeypatch.setattr(ssf, "det2_sweep", lambda families, nu: corrupt(exact(families, nu)))
     with pytest.raises(RefinementNeededError, match="disagrees with the dense det2") as err:
         small_curve(n=2)
     assert err.value.interval == (refused, refused)
+
+
+def test_ssf_mollified_schedule_matches_the_per_n_loop():
+    nu = np.linspace(-8.0, 8.0, 161)
+    schedule = (2, 4, 8, 16, 32)
+    curves = ssf_mollified(GAUSS, schedule, nu, 300)
+    assert isinstance(curves, tuple) and len(curves) == len(schedule)
+    for n, curve in zip(schedule, curves):
+        single = ssf_mollified(GAUSS, n, nu, 300)
+        assert isinstance(single, SSFCurve)
+        assert_array_equal(curve.values, single.values)
+        assert curve.provenance == single.provenance
+    # gaussian(3, 1) has not settled at nu = 8 for n = 8 and 16 (|det2 - 1| =
+    # 0.236 and 0.225); the schedule raises n = 8's refusal, as the loop does
+    steep = builtin_profile("gaussian", 3.0, 1.0)
+    with pytest.raises(RefinementNeededError) as loop:
+        for n in schedule:
+            ssf_mollified(steep, n, nu, 300)
+    with pytest.raises(RefinementNeededError) as joint:
+        ssf_mollified(steep, schedule, nu, 300)
+    assert str(joint.value) == str(loop.value)
+    assert "0.236" in str(joint.value)
+    assert joint.value.interval == loop.value.interval
 
 
 def test_curve_serialization_round_trip():
