@@ -109,7 +109,10 @@ def det2(T: np.ndarray) -> complex:
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    value = det_complex(np.eye(T.shape[0]) + T)
+    # one copy of T; adding 0.0 turns -0.0 parts into +0.0, as the identity's zeros would
+    shifted = T + 0.0
+    shifted[np.diag_indices(T.shape[0])] += 1.0
+    value = det_complex(shifted)
     return value * cmath.exp(-complex(np.trace(T)))
 
 

@@ -240,17 +240,32 @@ class MollifiedBSFamily:
         self._col = u
 
     def matrix(self, nu: float) -> BirmanSchwingerMatrix:
+        """The dense matrix at nu + i0, assembled in one complex buffer and one real scratch.
+
+        Each entry takes the same floating-point operations, in the same
+        operand order, as the branch formula of the class docstring
+        evaluated with full-size temporaries, so the two agree bitwise.
+        """
         z = complex(nu)
         x = self.grid.nodes
         c_near, c_osc, c_far = _mollified_coefficients(self.n, z, self._s)
-        diff = x[:, None] - x[None, :]
-        decay = np.exp(-self.n * np.abs(diff))
         osc = np.exp(1j * z * x)
-        plane = osc[:, None] * osc.conj()[None, :]
-        # the diagonal takes the far branch above the axis and the near one below
-        near = diff < 0.0 if self._s > 0 else diff >= 0.0
-        factor = np.where(near, c_near * decay, c_osc * plane - c_far * decay)
-        return BirmanSchwingerMatrix(entries=self._row[:, None] * factor * self._col[None, :])
+        entries = np.multiply.outer(osc, osc.conj())
+        decay = np.subtract.outer(x, x)
+        np.abs(decay, out=decay)
+        decay *= -self.n
+        np.exp(decay, out=decay)
+        np.multiply(c_osc, entries, out=entries)
+        entries -= c_far * decay
+        # x is strictly increasing, so x_i < x_j exactly when i < j; the diagonal
+        # takes the far branch above the axis and the near one below
+        near = np.tri(self.grid.N, dtype=bool)
+        if self._s > 0:
+            np.logical_not(near, out=near)
+        np.multiply(c_near, decay, out=entries, where=near)
+        np.multiply(self._row[:, None], entries, out=entries)
+        entries *= self._col
+        return BirmanSchwingerMatrix(entries=entries)
 
 
 def det2_sweep(families: Sequence[MollifiedBSFamily], nu_grid: np.ndarray) -> np.ndarray:
@@ -346,8 +361,11 @@ def _require_off_halfline(z: complex) -> complex:
 
 TRACE_BAND_TOL = 1e-12
 
-# Band reduction costs O(M^2 b); at M = 2048 it passes dense eigvalsh near b = M/16.
+# Band reduction costs O(M^2 b).  At M = 2048 it passes dense eigvalsh near
+# b = M/16 for a complex column, and near b = M/20 for a real one, whose
+# dense solve runs in real arithmetic.
 _MAX_BAND_FRACTION = 16
+_MAX_BAND_FRACTION_REAL = 20
 
 
 def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], float]:
@@ -359,7 +377,8 @@ def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], fl
     Lidskii-Mirsky the eigenvalue shifts sum to at most
     ||E||_1 <= sum_j ||E e_j||_2, and |g_z'| <= |z| / dist(z, [0, inf))^(3/2)
     on the real line turns that into the returned bound on the trace.
-    Returns (None, 0.0), the dense path, when b would exceed M/16.
+    Returns (None, 0.0), the dense path, when b would exceed M/16, or
+    M/20 for a real column.
     """
     z = _require_off_halfline(z)
     dist = abs(z.imag) if z.real >= 0.0 else abs(z)
@@ -367,7 +386,8 @@ def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], fl
     # tails[d] = ||c_{d:}||_2, summed from the small end
     tails = np.sqrt(np.cumsum(np.abs(pair.column[::-1]) ** 2))[::-1]
     bounds = scale * np.append(tails[1:], 0.0)
-    certified = np.flatnonzero(bounds[: pair.M // _MAX_BAND_FRACTION + 1] <= TRACE_BAND_TOL)
+    fraction = _MAX_BAND_FRACTION if np.iscomplexobj(pair.column) else _MAX_BAND_FRACTION_REAL
+    certified = np.flatnonzero(bounds[: pair.M // fraction + 1] <= TRACE_BAND_TOL)
     if certified.size == 0:
         return None, 0.0
     b = int(certified[0])
@@ -379,10 +399,10 @@ def trace_gz_diff(pair: FourierOperatorPair, z: complex) -> complex:
 
     The eigenvalues of A_{+,n} come from its Hermitian band of half-width
     trace_band(pair, z), which keeps the trace error below
-    TRACE_BAND_TOL, or from the dense matrix when no band up to M/16 is
-    certified (A_- is already diagonal).  This value is independent of
-    everything downstream of the determinant pipeline and serves as its
-    cross-check.
+    TRACE_BAND_TOL, or from the dense matrix when no band up to M/16
+    (M/20 for a real column) is certified (A_- is already diagonal).
+    This value is independent of everything downstream of the
+    determinant pipeline and serves as its cross-check.
     """
     z = complex(z)
     band, _ = trace_band(pair, z)

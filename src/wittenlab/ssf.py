@@ -13,11 +13,12 @@ from the 1-D one by the arcsine-weighted transform
     xi_2d(lam) = (1/pi) * int_{-sqrt(lam)}^{sqrt(lam)} xi(nu) (lam - nu^2)^(-1/2) dnu,
 
 never by discretizing the 2-D operators; a whole lam grid is
-transformed at once as one (lam, t) array of samples.  Two
-independent trace identities tie the pieces together and are exposed
-as residual reports: the resolvent trace formula checked against a
-Fourier-side oracle, and the Stieltjes pair equating the lam-integral
-of xi_2d against the nu-integral of the 1-D curve.
+transformed in one call, as (lam, t) arrays of samples over fixed
+blocks of lam.  Two independent trace identities tie the pieces
+together and are exposed as residual reports: the resolvent trace
+formula checked against a Fourier-side oracle, and the Stieltjes pair
+equating the lam-integral of xi_2d against the nu-integral of the 1-D
+curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
@@ -210,6 +211,7 @@ def ssf_mollified(
     spot check and the phase tracking run per n in schedule order, so
     the error raised is the one a loop over n would raise first.
     """
+    _check_threads(threads)
     single = np.ndim(n) == 0
     schedule = tuple(_check_mollifier_index(m) for m in np.atleast_1d(n))
     if not schedule:
@@ -225,7 +227,6 @@ def ssf_mollified(
         curves = tuple(_zero_curve(nu, m, N) for m in schedule)
         return curves[0] if single else curves
 
-    _check_threads(threads)
     grid = build_grid(profile, N, tail_eps)
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
@@ -252,6 +253,11 @@ def ssf_mollified(
     return curves[0] if single else tuple(curves)
 
 
+# lam rows per block of (lam, t) samples: a block of 2001-point rows stays
+# in cache, and the working set does not grow with the number of lam.
+_LAMBDA_BLOCK = 16
+
+
 def pushnitski(
     source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray]],
     lam: Union[float, np.ndarray],
@@ -265,8 +271,11 @@ def pushnitski(
     integrates constants exactly and odd integrands to rounding.
     source may be a constant, a callable of nu, or a sampled 1-D curve
     (interpolated linearly; lam beyond its span is a coverage error).
-    A scalar lam returns a float; a vector of lam is evaluated as one
-    (lam, t) array reduced along t, each entry equal to the scalar call.
+    A scalar lam returns a float; an array of lam returns an array of
+    its shape, evaluated _LAMBDA_BLOCK values at a time as (block, t)
+    arrays of samples, each row reduced along t on its own, so every
+    entry equals the scalar call.  A callable source is called once per
+    block.
     """
     lams = np.asarray(lam, dtype=float)
     bad = lams[~(lams > 0.0)]
@@ -275,9 +284,13 @@ def pushnitski(
     if t_points < 3:
         raise ValueError("t_points must be at least 3")
     t = -0.5 * math.pi + (np.arange(t_points) + 0.5) * (math.pi / t_points)
-    nus = np.sqrt(lams)[..., None] * np.sin(t)
+    sin_t = np.sin(t)
     if isinstance(source, numbers.Real):
-        samples = np.full(nus.shape, float(source))
+        value = float(source)
+
+        def samples(nus):
+            return np.full(nus.shape, value)
+
     elif isinstance(source, SSFCurve):
         top = float(np.max(lams, initial=0.0))
         root = math.sqrt(top)
@@ -287,13 +300,23 @@ def pushnitski(
                 f"1-D curve covers [{lo:g}, {hi:g}] but lam = {top:g} "
                 f"requires [-{root:g}, {root:g}]"
             )
-        samples = np.interp(nus, source.grid, source.values)
+
+        def samples(nus):
+            return np.interp(nus, source.grid, source.values)
+
     elif callable(source):
-        samples = np.broadcast_to(np.asarray(source(nus), dtype=float), nus.shape)
+
+        def samples(nus):
+            return np.broadcast_to(np.asarray(source(nus), dtype=float), nus.shape)
+
     else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
-    means = np.mean(samples, axis=-1)
-    return means if means.ndim else float(means)
+    roots = np.sqrt(lams).reshape(-1)
+    means = np.empty_like(roots)
+    for start in range(0, len(roots), _LAMBDA_BLOCK):
+        block = slice(start, start + _LAMBDA_BLOCK)
+        means[block] = np.mean(samples(roots[block, None] * sin_t), axis=-1)
+    return means.reshape(lams.shape) if lams.ndim else float(means[0])
 
 
 def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
@@ -325,7 +348,7 @@ def _extended_evaluator(
 
     def evaluate(nu):
         nu = np.asarray(nu, dtype=float)
-        outside = np.abs(nu) > span
+        outside = (nu < -span) | (nu > span)
         out = np.asarray(np.interp(nu, grid, inner))
         out[outside] = limit if eta_correction else _eta_over_pi(total, n, nu[outside])
         return out if out.ndim else float(out)
@@ -427,6 +450,7 @@ def krein_check_trn(
     oracle's half-band and its certified trace error (band None and
     bound 0.0 on the dense path).
     """
+    _check_threads(threads)
     n = _check_mollifier_index(n)
     z = _require_off_halfline(z)
     params = {"n": n, "z": z, "N": N, "nu_max": nu_max, "M": M}
@@ -493,6 +517,7 @@ def trace_identity_eq1(
     on the constant function instead of the determinant pipeline, where
     the exact common value is c/(-z).
     """
+    _check_threads(threads)
     n = _check_mollifier_index(n)
     z = _require_off_halfline(z)
     params = {"n": n, "z": z, "N": N, "nu_max": nu_max, "lambda_cells": lambda_cells}

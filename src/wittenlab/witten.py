@@ -27,7 +27,15 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .profiles import PotentialProfile, _check_mollifier_index, c0
-from .ssf import SSFCurve, SSFKind, _extended_evaluator, _lambda_grid, pushnitski, ssf_mollified
+from .ssf import (
+    SSFCurve,
+    SSFKind,
+    _check_threads,
+    _extended_evaluator,
+    _lambda_grid,
+    pushnitski,
+    ssf_mollified,
+)
 
 __all__ = ["WittenReport", "delta_r", "witten_index"]
 
@@ -144,6 +152,7 @@ def witten_index(
     linearity of every stage, these are the extrapolated combinations of
     the per-n values).
     """
+    _check_threads(threads)
     schedule = tuple(_check_mollifier_index(n) for n in n_schedule)
     if not schedule:
         raise ValueError("n_schedule must be nonempty")

@@ -22,6 +22,8 @@ from numpy.testing import assert_allclose
 from wittenlab import (
     NearSingularError,
     RefinementNeededError,
+    SpectralPoint,
+    bs_matrix,
     build_grid,
     builtin_profile,
     det2,
@@ -98,6 +100,22 @@ def test_det2_eigenvalue_product():
     eigs = np.linalg.eigvals(T)
     product = np.prod((1.0 + eigs) * np.exp(-eigs))
     assert_allclose(det2(T), product, atol=1e-9)
+
+
+def test_det2_copies_its_input_once(traced_peak):
+    T = MollifiedBSFamily(GAUSS, 16, build_grid(GAUSS, 400)).matrix(0.3).entries
+    before = T.tobytes()
+    peak, _ = traced_peak(lambda: det2(T))
+    assert peak <= 1.25 * T.nbytes
+    assert T.tobytes() == before
+    # I + T as np.eye(N) + T forms it, signed zeros included: the raw BS
+    # matrix is strictly triangular, and its det2 is exactly 1
+    raw = bs_matrix(GAUSS, SpectralPoint.boundary(0.3), build_grid(GAUSS, 64)).entries
+    for matrix in (T, raw, np.asfortranarray(T[:50, :50])):
+        shifted = np.eye(len(matrix)) + matrix
+        expected = det_complex(shifted) * cmath.exp(-complex(np.trace(matrix)))
+        assert np.array([det2(matrix)]).tobytes() == np.array([expected]).tobytes()
+    assert det2(raw) == 1.0
 
 
 def test_hs_norm_values():

@@ -39,6 +39,7 @@ from wittenlab.discretize import (
     ensure_oscillation_resolved,
     trace_band,
 )
+from wittenlab.kernels import _mollified_coefficients
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 
@@ -163,6 +164,35 @@ def test_family_matches_direct_assembly():
             point = SpectralPoint.boundary(nu, side=side)
             direct = assemble(lambda x, xp: bs_kernel_mollified(GAUSS, 4, point, x, xp), grid)
             assert_allclose(family.matrix(nu).entries, direct.entries, atol=1e-14)
+
+
+def test_family_matrix_is_the_branch_formula_bitwise():
+    # the class docstring's formula, assembled with full-size temporaries
+    sech2 = builtin_profile("sech2", -2.0, 0.25)
+    for profile in (GAUSS, sech2):
+        grid = build_grid(profile, 64)
+        diff = grid.nodes[:, None] - grid.nodes[None, :]
+        for side, s in (("upper", 1.0), ("lower", -1.0)):
+            for n in (2, 32, 256):
+                family = MollifiedBSFamily(profile, n, grid, side=side)
+                decay = np.exp(-n * np.abs(diff))
+                near = diff < 0.0 if s > 0 else diff >= 0.0
+                for nu in (-12.0, -0.3, 0.0, 0.7):
+                    c_near, c_osc, c_far = _mollified_coefficients(n, complex(nu), s)
+                    osc = np.exp(1j * complex(nu) * grid.nodes)
+                    plane = osc[:, None] * osc.conj()[None, :]
+                    factor = np.where(near, c_near * decay, c_osc * plane - c_far * decay)
+                    expected = family._row[:, None] * factor * family._col[None, :]
+                    entries = family.matrix(nu).entries
+                    # signed zeros included
+                    assert entries.tobytes() == expected.tobytes()
+
+
+def test_family_matrix_allocates_one_complex_and_one_real_buffer(traced_peak):
+    family = MollifiedBSFamily(GAUSS, 16, build_grid(GAUSS, 400))
+    peak, matrix = traced_peak(lambda: family.matrix(0.3))
+    # the result, a real N x N scratch and one complex temporary of the far branch
+    assert peak <= 3.5 * matrix.entries.nbytes
 
 
 def test_hs_norm_is_cauchy_in_resolution():
@@ -299,14 +329,15 @@ def test_banded_trace_within_certified_bound(kind, amplitude, width, n, monkeypa
         dense = _trace(dense_evals, pair, z)
         band, bound = trace_band(pair, z)
         if kind == "gaussian":
-            assert band is not None and band <= 1024 // 16
+            assert band is not None and band <= 1024 // 20
             value = trace_gz_diff(pair, z)
         else:
-            # sech2 needs about 200 > M/16, so trace_gz_diff takes the dense
-            # path; the certificate must still hold at the band it would need
+            # sech2 needs about 200 > M/20 (its column is real), so trace_gz_diff
+            # takes the dense path; the certificate must still hold at the band
+            # it would need
             assert band is None
             with monkeypatch.context() as patch:
-                patch.setattr(discretize, "_MAX_BAND_FRACTION", 1)
+                patch.setattr(discretize, "_MAX_BAND_FRACTION_REAL", 1)
                 band, bound = trace_band(pair, z)
             if band not in banded_evals:
                 banded_evals[band] = eigvals_banded(pair.lower_band(band), lower=True)
@@ -320,6 +351,18 @@ def test_trace_band_falls_back_to_dense_for_bump():
     pair = fourier_pair(bump, 4, 2.0, 1024)
     assert trace_band(pair, -1.0) == (None, 0.0)
     assert trace_gz_diff(pair, -1.0) == _trace(np.linalg.eigvalsh(pair.A_plus_n), pair, -1.0 + 0j)
+
+
+def test_trace_band_caps_a_real_column_at_M_over_20():
+    M = 1024
+    momenta = np.pi * np.arange(-M // 2, M // 2) / 10.0
+    column = np.zeros(M)
+    column[:58] = 1e-3  # certified half-band 57, between M/20 = 51.2 and M/16 = 64
+    real = FourierOperatorPair(10.0, M, momenta, np.ones(M), column)
+    assert trace_band(real, -1.0) == (None, 0.0)
+    wave = column.astype(complex)
+    wave[1:58] += 1e-4j
+    assert trace_band(FourierOperatorPair(10.0, M, momenta, np.ones(M), wave), -1.0) == (57, 0.0)
 
 
 def test_oscillation_gate():

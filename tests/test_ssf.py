@@ -29,6 +29,7 @@ from wittenlab import (
     ssf_2d_curve,
     ssf_mollified,
     trace_identity_eq1,
+    witten_index,
 )
 from wittenlab.discretize import MollifiedBSFamily, _g_spectral
 
@@ -84,6 +85,18 @@ def test_ssf_mollified_thread_count_invariance():
     serial = ssf_mollified(GAUSS, 2, nu, 200, threads=1)
     parallel = ssf_mollified(GAUSS, 2, nu, 200, threads=4)
     assert np.array_equal(serial.values, parallel.values)
+
+
+def test_threads_validated_before_early_returns():
+    # the zero profile and the synthetic constant return before any sweep
+    with pytest.raises(ValueError, match="threads"):
+        ssf_mollified(ZERO, 4, np.linspace(-6.0, 6.0, 25), 200, threads=0)
+    with pytest.raises(ValueError, match="threads"):
+        witten_index(ZERO, (2, 4), threads=0)
+    with pytest.raises(ValueError, match="threads"):
+        krein_check_trn(ZERO, 4, -1.0, threads=0)
+    with pytest.raises(ValueError, match="threads"):
+        trace_identity_eq1(GAUSS, 8, -1.0, synthetic_constant=0.375, threads=0)
 
 
 def test_sweep_spot_checks_one_dense_det2(monkeypatch):
@@ -206,6 +219,36 @@ def test_pushnitski_curve_source_and_coverage():
     assert_array_equal(pushnitski(ramp, lams), [pushnitski(ramp, lam) for lam in lams])
     with pytest.raises(CoverageError, match="lam = 16"):
         pushnitski(ramp, np.array([0.3, 16.0, 4.0]))
+
+
+def test_pushnitski_block_boundaries():
+    B = ssf._LAMBDA_BLOCK
+    grid = np.linspace(-8.0, 8.0, 321)
+    ramp = SSFCurve(grid=grid, values=np.tanh(grid) + grid**2, kind=SSFKind.ONE_DIM_MOLLIFIED)
+    sources = (0.73, lambda nu: np.sin(nu) + nu**2, ramp)
+    for source in sources:
+        for count in (1, B - 1, B, B + 1, 2 * B + 3):
+            lams = np.geomspace(0.05, 60.0, count)
+            values = pushnitski(source, lams)
+            assert values.shape == (count,)
+            assert_array_equal(values, [pushnitski(source, lam) for lam in lams])
+        square = np.geomspace(0.05, 60.0, 3 * (B + 1)).reshape(3, B + 1)
+        values = pushnitski(source, square)
+        assert values.shape == square.shape
+        assert_array_equal(values.ravel(), [pushnitski(source, lam) for lam in square.ravel()])
+
+
+def test_pushnitski_working_set_does_not_grow_with_lam(traced_peak):
+    curve = ssf_mollified(GAUSS, 8, np.linspace(-12.0, 12.0, 401), 400)
+    evaluator = ssf._extended_evaluator(curve)
+    lam = ssf._lambda_grid(12.0, 160, 1e-6)  # witten_index's lam grid
+    peak, _ = traced_peak(lambda: pushnitski(evaluator, lam))
+    assert peak < 2e6
+    # four copies of the grid: the same blocks, so only the lam vectors grow
+    four = np.tile(lam, 4)
+    peak_four, values = traced_peak(lambda: pushnitski(evaluator, four))
+    assert peak_four <= peak + 2 * four.nbytes
+    assert_array_equal(values, np.tile(pushnitski(evaluator, lam), 4))
 
 
 def test_pushnitski_validation():
