@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .determinants import RefinementNeededError, det2_semiseparable
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
@@ -409,6 +408,10 @@ def trace_gz_diff(pair: FourierOperatorPair, z: complex) -> complex:
     if band is None:
         evals = np.linalg.eigvalsh(pair.A_plus_n)
     else:
+        # imported here, so that importing wittenlab loads no scipy module;
+        # of the library, only this oracle needs scipy.linalg
+        from scipy.linalg import eigvals_banded
+
         evals = eigvals_banded(pair.lower_band(band), lower=True)
     return complex(np.sum(_g_spectral(evals, z)) - np.sum(_g_spectral(pair.momenta, z)))
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "PotentialProfile",
@@ -26,6 +25,36 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "sech2", "bump")
+
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_erf_object = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(x) -> np.ndarray:
+    """math.erf elementwise, as a float array of x's shape (0-d for a scalar)."""
+    return np.asarray(_erf_object(x), dtype=float)
+
+
+def _erfcinv(y: float) -> float:
+    """The x with erfc(x) = y, for 0 < y <= 1, by Newton's method on math.erfc.
+
+    It starts from the tangent at 0 for y > 0.5, and otherwise from
+    erfc(x) ~ exp(-x^2)/(x sqrt(pi)).  erfc is convex on x >= 0, so the
+    iterates then close in on the root from one side, in at most five
+    steps.  They stop at a step of 1e-15 relative to max(x, 1): near
+    x = 0.1 the rounding of erfc(x) moves x by about 1e-16.
+    """
+    if y > 0.5:
+        x = (1.0 - y) / _TWO_OVER_SQRT_PI
+    else:
+        t = -math.log(y)
+        x = math.sqrt(t - 0.5 * math.log(math.pi * t))
+    for _ in range(50):
+        step = (math.erfc(x) - y) / (_TWO_OVER_SQRT_PI * math.exp(-x * x))
+        x += step
+        if abs(step) <= 1e-15 * max(x, 1.0):
+            break
+    return x
 
 
 @dataclass(frozen=True)
@@ -109,13 +138,13 @@ def builtin_profile(
 
         def antiderivative(x):
             x = np.asarray(x, dtype=float)
-            return amp * a * (math.sqrt(math.pi) / 2.0) * special.erf(x / a)
+            return amp * a * (math.sqrt(math.pi) / 2.0) * _erf(x / a)
 
         def tail_radius(eps: float) -> float:
             if mass == 0.0 or eps >= mass:
                 return 0.0
             # tail(R) = mass * erfc(R/a); invert exactly
-            return a * float(special.erfcinv(eps / mass))
+            return a * _erfcinv(eps / mass)
 
         return PotentialProfile(
             kind=kind,
@@ -144,8 +173,9 @@ def builtin_profile(
         def tail_radius(eps: float) -> float:
             if mass == 0.0 or eps >= mass:
                 return 0.0
-            # tail(R) = mass * (1 - tanh(R/a))
-            return a * float(np.arctanh(1.0 - eps / mass))
+            # tail(R) = mass * (1 - tanh(R/a)) = 2 mass / (exp(2R/a) + 1);
+            # arctanh(1 - eps/mass) would lose eps/mass to cancellation
+            return a * 0.5 * math.log(2.0 * mass / eps - 1.0)
 
         return PotentialProfile(
             kind=kind,

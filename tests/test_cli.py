@@ -8,6 +8,10 @@ contract: 0 success, 1 usage/configuration, 2 refinement refused,
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +237,19 @@ def test_verify_coarse_grid_fails_cleanly(tmp_path, profile_file, capsys):
     assert "PASS  det2-triviality" in out
     assert "FAIL  krein-trn" in out
     assert "verification FAILED" in out
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where it is used (the banded Fourier oracle and
+    # the quadrature tails), so that a process pays nothing for it on import
+    code = (
+        "import sys, wittenlab, wittenlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

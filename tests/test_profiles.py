@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, special
 
 from wittenlab import builtin_profile, c0, chi, profile_from_descriptor
+from wittenlab.profiles import _erf, _erfcinv
 
 BUILTINS = [
     ("gaussian", 1.0, 1.0, None),
@@ -69,6 +70,54 @@ def test_tail_radius_monotone_in_eps():
     profile = builtin_profile("sech2", 1.0, 1.0)
     radii = [profile.tail_radius(e) for e in (1e-3, 1e-6, 1e-9, 1e-12)]
     assert all(b >= a for a, b in zip(radii, radii[1:]))
+
+
+def test_erf_matches_scipy():
+    xs = np.linspace(-30.0, 30.0, 60001)
+    assert np.max(np.abs(_erf(xs) - special.erf(xs))) <= 2.3e-16
+    grid = xs[:60000].reshape(20, 50, 60)
+    out = _erf(grid)
+    assert out.dtype == np.float64 and out.shape == grid.shape
+    assert np.array_equal(out, _erf(xs[:60000]).reshape(grid.shape))
+    for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+        out = _erf(scalar)
+        assert out.dtype == np.float64 and out.shape == ()
+        assert abs(float(out) - special.erf(0.3)) <= 2.3e-16
+    assert _erf(np.array([np.inf, -np.inf])).tolist() == [1.0, -1.0]
+    assert float(_erf(np.inf)) == 1.0
+
+
+def test_erfcinv_matches_scipy():
+    small = np.logspace(-300.0, math.log10(0.5), 3001)
+    got = np.array([_erfcinv(float(y)) for y in small])
+    assert np.max(np.abs(got / special.erfcinv(small) - 1.0)) <= 1e-15
+    large = np.linspace(0.5, 1.0, 2001)[:-1]
+    got = np.array([_erfcinv(float(y)) for y in large])
+    assert np.max(np.abs(got - special.erfcinv(large))) <= 1e-15
+    assert _erfcinv(1.0) == 0.0
+
+
+def _mass_outside(profile, R):
+    """Closed-form integral of |phi| outside [-R, R], free of cancellation."""
+    a = profile.width
+    if profile.kind == "gaussian":
+        return profile.l1_norm * math.erfc(R / a)
+    return 2.0 * profile.l1_norm / (math.exp(2.0 * R / a) + 1.0)
+
+
+@pytest.mark.parametrize(
+    "kind,amp,width",
+    [("gaussian", 1.0, 1.0), ("gaussian", -0.5, 0.5), ("gaussian", 3.0, 2.5),
+     ("sech2", 1.0, 1.0), ("sech2", -2.0, 0.25), ("sech2", -2.0, 1.5)],
+)
+def test_tail_radius_contract(kind, amp, width):
+    profile = builtin_profile(kind, amp, width)
+    epsilons = (1e-14, 1e-12, 1e-8, 1e-3)
+    radii = [profile.tail_radius(eps) for eps in epsilons]
+    for eps, R in zip(epsilons, radii):
+        assert R > 0.0
+        assert _mass_outside(profile, R) <= eps * (1.0 + 1e-13)
+    assert all(b <= a for a, b in zip(radii, radii[1:]))
 
 
 def test_bump_support_is_exact():
