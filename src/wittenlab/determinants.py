@@ -98,22 +98,29 @@ def det_complex(matrix: np.ndarray) -> complex:
     return phase * math.exp(log_magnitude)
 
 
-def det2(T: np.ndarray) -> complex:
+def det2(T: np.ndarray, overwrite: bool = False) -> complex:
     """Carleman determinant det2(I + T) = det(I + T) exp(-tr T).
 
     Equals the product of (1 + lambda_k) exp(-lambda_k) over the
     eigenvalues of T.  The trace is taken from the matrix as assembled,
     which is exactly 0 for the triangular Birman-Schwinger matrices, so
     det2 reduces to det(I + T) there with no exponential correction.
+    I + T is formed in one copy of T, or, with overwrite=True, in T
+    itself when T is already a complex array, which then holds I + T;
+    the value is the same either way, bit for bit.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    # one copy of T; adding 0.0 turns -0.0 parts into +0.0, as the identity's zeros would
-    shifted = T + 0.0
+    correction = cmath.exp(-complex(np.trace(T)))
+    # adding 0.0 turns -0.0 parts into +0.0, as the identity's zeros would
+    if overwrite:
+        shifted = T
+        shifted += 0.0
+    else:
+        shifted = T + 0.0
     shifted[np.diag_indices(T.shape[0])] += 1.0
-    value = det_complex(shifted)
-    return value * cmath.exp(-complex(np.trace(T)))
+    return det_complex(shifted) * correction
 
 
 # Pivots multiplied per log: a complex log costs about as much as 200
@@ -181,14 +188,19 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
     m1 = np.zeros(shape, dtype=complex)
     log_det = np.zeros(shape, dtype=complex)
     pivots = np.empty((_PIVOT_BLOCK, *shape), dtype=complex)
+    # steps[j] holds node j's transitions of m_0 and m_1, refilled for each
+    # block.  They are materialized, and m_0 and m_1 updated one at a time,
+    # because numpy multiplies equal-shape complex arrays faster than
+    # broadcast ones.
+    steps = np.empty((_PIVOT_BLOCK, 2, *shape), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, N, _PIVOT_BLOCK):
             stop = min(start + _PIVOT_BLOCK, N)
             block = dx[start:stop]
             fall = np.exp(-np.multiply.outer(block, rates))[:, :, None]
-            osc_step = fall * _cis(np.multiply.outer(block, waves))[:, None, :]
-            # materialized: numpy multiplies equal-shape complex arrays faster
-            far_step = np.broadcast_to(fall * fall, osc_step.shape).astype(complex)
+            step = steps[: len(block)]
+            np.multiply(fall, _cis(np.multiply.outer(block, waves))[:, None, :], out=step[:, 0])
+            step[:, 1] = fall * fall
             for j, k in enumerate(range(start, stop)):
                 e = c_near - c_osc * m0
                 e += c_far * m1
@@ -199,10 +211,10 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
                 r = 1.0 / pivot
                 m0 += v
                 m0 *= r
-                m0 *= osc_step[j]
+                m0 *= step[j, 0]
                 m1 += v
                 m1 *= r
-                m1 *= far_step[j]
+                m1 *= step[j, 1]
             log_det += _log_product(pivots[: stop - start])
         return np.exp(log_det - c_near * np.sum(u))
 

@@ -209,6 +209,11 @@ def bs_matrix(
     return assemble(lambda x, xp: bs_kernel(profile, point, x, xp), grid)
 
 
+# Entries per row block of MollifiedBSFamily.matrix: its complex, real and
+# boolean block scratches then take about 200 kB together, whatever N is.
+_MATRIX_BLOCK_ENTRIES = 1 << 13
+
+
 class MollifiedBSFamily:
     """Mollified BS matrices over a sweep of boundary points nu + i0.
 
@@ -238,32 +243,55 @@ class MollifiedBSFamily:
         self._row = (1j if upper else -1j) * (np.sign(phi) * u)
         self._col = u
 
-    def matrix(self, nu: float) -> BirmanSchwingerMatrix:
-        """The dense matrix at nu + i0, assembled in one complex buffer and one real scratch.
+    def matrix(self, nu: float, out: Optional[np.ndarray] = None) -> BirmanSchwingerMatrix:
+        """The dense matrix at nu + i0, assembled a block of rows at a time.
 
         Each entry takes the same floating-point operations, in the same
         operand order, as the branch formula of the class docstring
         evaluated with full-size temporaries, so the two agree bitwise.
+        The decay factor e^(-n|x_i - x_j|), the far-branch product and the
+        near/far mask exist for one block of rows only.  out, a complex
+        (N, N) array, receives the entries in place of a new array, so a
+        caller checking several matrices can reuse one buffer.
         """
+        N = self.grid.N
+        if out is None:
+            entries = np.empty((N, N), dtype=complex)
+        elif out.shape != (N, N) or out.dtype != complex:
+            raise ValueError(f"out must be a complex array of shape {(N, N)}")
+        else:
+            entries = out
         z = complex(nu)
         x = self.grid.nodes
         c_near, c_osc, c_far = _mollified_coefficients(self.n, z, self._s)
         osc = np.exp(1j * z * x)
-        entries = np.multiply.outer(osc, osc.conj())
-        decay = np.subtract.outer(x, x)
-        np.abs(decay, out=decay)
-        decay *= -self.n
-        np.exp(decay, out=decay)
-        np.multiply(c_osc, entries, out=entries)
-        entries -= c_far * decay
-        # x is strictly increasing, so x_i < x_j exactly when i < j; the diagonal
-        # takes the far branch above the axis and the near one below
-        near = np.tri(self.grid.N, dtype=bool)
-        if self._s > 0:
-            np.logical_not(near, out=near)
-        np.multiply(c_near, decay, out=entries, where=near)
-        np.multiply(self._row[:, None], entries, out=entries)
-        entries *= self._col
+        wave = osc.conj()
+        rows = max(1, _MATRIX_BLOCK_ENTRIES // N)
+        decay = np.empty((rows, N))
+        far = np.empty((rows, N), dtype=complex)
+        near = np.empty((rows, N), dtype=bool)
+        columns = np.arange(N)
+        for start in range(0, N, rows):
+            stop = min(start + rows, N)
+            block = entries[start:stop]
+            d, f, m = decay[: stop - start], far[: stop - start], near[: stop - start]
+            np.multiply.outer(osc[start:stop], wave, out=block)
+            np.subtract.outer(x[start:stop], x, out=d)
+            np.abs(d, out=d)
+            d *= -self.n
+            np.exp(d, out=d)
+            np.multiply(c_osc, block, out=block)
+            np.multiply(c_far, d, out=f)
+            block -= f
+            # x is strictly increasing, so x_i < x_j exactly when i < j; the diagonal
+            # takes the far branch above the axis and the near one below
+            if self._s > 0:
+                np.less.outer(np.arange(start, stop), columns, out=m)
+            else:
+                np.greater_equal.outer(np.arange(start, stop), columns, out=m)
+            np.multiply(c_near, d, out=block, where=m)
+            np.multiply(self._row[start:stop, None], block, out=block)
+            block *= self._col
         return BirmanSchwingerMatrix(entries=entries)
 
 
@@ -368,7 +396,7 @@ _MAX_BAND_FRACTION_REAL = 20
 
 
 def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], float]:
-    """Smallest half-band b whose certified error in trace_gz_diff is at most TRACE_BAND_TOL.
+    """Smallest half-band b whose band truncation in trace_gz_diff is certified <= TRACE_BAND_TOL.
 
     Dropping the entries with |i - j| > b leaves a Hermitian E whose
     column j has 2-norm at most chi_n(k_j) sqrt(2) ||c_{b+1:}||_2, since
@@ -376,8 +404,10 @@ def trace_band(pair: FourierOperatorPair, z: complex) -> tuple[Optional[int], fl
     Lidskii-Mirsky the eigenvalue shifts sum to at most
     ||E||_1 <= sum_j ||E e_j||_2, and |g_z'| <= |z| / dist(z, [0, inf))^(3/2)
     on the real line turns that into the returned bound on the trace.
-    Returns (None, 0.0), the dense path, when b would exceed M/16, or
-    M/20 for a real column.
+    The bound covers the dropped entries only: the rounding of the
+    eigensolver that then runs on the band comes on top of it, and can
+    exceed it.  Returns (None, 0.0), the dense path, when b would exceed
+    M/16, or M/20 for a real column.
     """
     z = _require_off_halfline(z)
     dist = abs(z.imag) if z.real >= 0.0 else abs(z)
@@ -397,9 +427,10 @@ def trace_gz_diff(pair: FourierOperatorPair, z: complex) -> complex:
     """tr(g_z(A_{+,n}) - g_z(A_-)) with g_z(x) = x (x^2 - z)^(-1/2).
 
     The eigenvalues of A_{+,n} come from its Hermitian band of half-width
-    trace_band(pair, z), which keeps the trace error below
-    TRACE_BAND_TOL, or from the dense matrix when no band up to M/16
-    (M/20 for a real column) is certified (A_- is already diagonal).
+    trace_band(pair, z), which keeps the error of dropping the outer
+    entries below TRACE_BAND_TOL, or from the dense matrix when no band
+    up to M/16 (M/20 for a real column) is certified (A_- is already
+    diagonal).  The eigensolver's own rounding is not in that bound.
     This value is independent of everything downstream of the
     determinant pipeline and serves as its cross-check.
     """

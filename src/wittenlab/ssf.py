@@ -24,7 +24,9 @@ Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
 structured elimination, O(N) per point (det2_sweep), then, for each n
 in turn, checks the point of smallest |det2| against the dense LU det2
-of the assembled matrix before the phase is tracked.
+of the assembled matrix before the phase is tracked.  The checks of one
+call share one N x N buffer, allocated once the elimination is done:
+each assembles its matrix there and factors it in place.
 """
 
 from __future__ import annotations
@@ -155,17 +157,22 @@ def _check_threads(threads: Optional[int]) -> None:
 _SPOT_CHECK_TOL = 1e-9
 
 
-def _spot_check(family: MollifiedBSFamily, nu_grid: np.ndarray, values: np.ndarray) -> None:
+def _spot_check(
+    family: MollifiedBSFamily, nu_grid: np.ndarray, values: np.ndarray, workspace: np.ndarray
+) -> None:
     """Hold one structured sweep to the dense LU det2 at one point.
 
     The check runs where |det2| is smallest, where the elimination
     without pivoting is least well conditioned, or at the first NaN
     (a zero pivot), which argmin returns first; a disagreement beyond
     _SPOT_CHECK_TOL * (1 + |dense|) is refused with that point named.
+    The matrix is assembled in workspace, a complex N x N buffer, and
+    det2 shifts its diagonal there, so checks sharing it allocate no
+    N x N array of their own.
     """
     k = int(np.argmin(np.abs(values)))
     nu = float(nu_grid[k])
-    dense = det2(family.matrix(nu).entries)
+    dense = det2(family.matrix(nu, out=workspace).entries, overwrite=True)
     if not abs(values[k] - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense)):
         raise RefinementNeededError(
             f"structured det2 {values[k]:.6g} disagrees with the dense det2 "
@@ -231,25 +238,32 @@ def ssf_mollified(
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
     families = [MollifiedBSFamily(profile, m, grid) for m in schedule]
+    sweep = det2_sweep(families, nu)
+    # allocated after the elimination, whose working memory is freed by now
+    workspace = np.empty((grid.N, grid.N), dtype=complex)
     curves = []
-    for family, values in zip(families, det2_sweep(families, nu)):
-        _spot_check(family, nu, values)
-        pc = phase_curve(nu, values)
-        xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, family.n, nu))) / math.pi
-        curves.append(
-            SSFCurve(
-                grid=nu,
-                values=xi,
-                kind=SSFKind.ONE_DIM_MOLLIFIED,
-                provenance={
-                    "N": N,
-                    "n": family.n,
-                    "nu_max": nu_max,
-                    "total_integral": profile.total_integral,
-                    "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
-                },
+    try:
+        for family, values in zip(families, sweep):
+            _spot_check(family, nu, values, workspace)
+            pc = phase_curve(nu, values)
+            xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, family.n, nu))) / math.pi
+            curves.append(
+                SSFCurve(
+                    grid=nu,
+                    values=xi,
+                    kind=SSFKind.ONE_DIM_MOLLIFIED,
+                    provenance={
+                        "N": N,
+                        "n": family.n,
+                        "nu_max": nu_max,
+                        "total_integral": profile.total_integral,
+                        "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
+                    },
+                )
             )
-        )
+    finally:
+        # freed here on a refusal too, not when the caller drops the traceback
+        del workspace
     return curves[0] if single else tuple(curves)
 
 
@@ -447,8 +461,9 @@ def krein_check_trn(
     discretization; rhs = (1/2z) integral of xi_n(nu) g_z'(nu) dnu from
     the determinant-phase curve.  The two sides share no numerical
     machinery, so their agreement validates both.  params records the
-    oracle's half-band and its certified trace error (band None and
-    bound 0.0 on the dense path).
+    oracle's half-band and its certified bound on the band truncation
+    error (band None and bound 0.0 on the dense path); the rounding of
+    the eigensolver comes on top of that bound.
     """
     _check_threads(threads)
     n = _check_mollifier_index(n)

@@ -115,7 +115,17 @@ def test_det2_copies_its_input_once(traced_peak):
         shifted = np.eye(len(matrix)) + matrix
         expected = det_complex(shifted) * cmath.exp(-complex(np.trace(matrix)))
         assert np.array([det2(matrix)]).tobytes() == np.array([expected]).tobytes()
+        # in place, the caller's buffer becomes I + T and the value is the same
+        inplace = matrix.copy()
+        value = det2(inplace, overwrite=True)
+        assert np.array([value]).tobytes() == np.array([expected]).tobytes()
+        assert inplace.tobytes() == shifted.tobytes()
     assert det2(raw) == 1.0
+    assert det2(raw.copy(), overwrite=True) == 1.0
+    # overwrite allocates no N x N complex array: the finiteness mask is 1/16 of T
+    inplace = T.copy()
+    peak, _ = traced_peak(lambda: det2(inplace, overwrite=True))
+    assert peak <= 0.1 * T.nbytes
 
 
 def test_hs_norm_values():

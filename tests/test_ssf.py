@@ -102,13 +102,46 @@ def test_threads_validated_before_early_returns():
 def test_sweep_spot_checks_one_dense_det2(monkeypatch):
     dense_calls = []
 
-    def counted(T):
-        dense_calls.append(T.shape)
-        return det2(T)
+    def counted(T, **kwargs):
+        dense_calls.append(T)
+        return det2(T, **kwargs)
 
     monkeypatch.setattr(ssf, "det2", counted)
     small_curve(n=2)
-    assert dense_calls == [(300, 300)]
+    assert [T.shape for T in dense_calls] == [(300, 300)]
+    # a schedule checks each n once, in one N x N buffer
+    dense_calls.clear()
+    small_curve(n=(2, 4, 8))
+    assert [T.shape for T in dense_calls] == [(300, 300)] * 3
+    assert all(np.shares_memory(dense_calls[0], T) for T in dense_calls[1:])
+
+
+def test_refused_sweep_releases_its_workspace(monkeypatch):
+    def refuse(nu, values):
+        raise RefinementNeededError("refused")
+
+    monkeypatch.setattr(ssf, "phase_curve", refuse)
+    with pytest.raises(RefinementNeededError) as err:
+        small_curve(n=(2, 4))
+    # the frames a caught refusal keeps alive hold no N x N array
+    held = []
+    tb = err.value.__traceback__
+    while tb is not None:
+        arrays = [v for v in tb.tb_frame.f_locals.values() if isinstance(v, np.ndarray)]
+        held += [a for a in arrays if a.size >= 300 * 300]
+        tb = tb.tb_next
+    assert held == []
+
+
+@pytest.mark.parametrize(
+    "schedule, N, points",
+    (((2, 4, 8, 16, 32), 400, 401), (4, 800, 801)),
+)
+def test_ssf_mollified_peak_allocation(traced_peak, schedule, N, points):
+    # the elimination's working memory, then one N x N workspace for every spot check
+    nu = np.linspace(-12.0, 12.0, points)
+    peak, _ = traced_peak(lambda: ssf_mollified(GAUSS, schedule, nu, N))
+    assert peak <= 2.0 * N * N * 16
 
 
 @pytest.mark.parametrize("corruption", ("perturbed", "nan"))
