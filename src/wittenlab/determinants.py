@@ -228,7 +228,8 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
     """Track the continuous phase of det2 along an ascending nu grid.
 
     det2_values holds det2(I + T(nu)) at each grid point, and every
-    contract of a Birman-Schwinger sweep applies: |det2| stays above
+    contract of a Birman-Schwinger sweep applies: every value is finite
+    (a NaN or inf is refused with its nu named); |det2| stays above
     1e-12; the curve starts and ends near det2 = 1 (|det2 - 1| below
     0.2, the anchor phase and the far-end unwrapped phase within pi/4
     of 0), else the sweep window is too narrow; and no adjacent phase
@@ -242,6 +243,15 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
     values = np.asarray(det2_values, dtype=complex)
     if values.shape != nu.shape:
         raise ValueError("det2_values length does not match nu_grid")
+
+    # every check below compares false on a NaN, and an inf has no phase
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise RefinementNeededError(
+            f"det2 {values[i]} at nu = {nu[i]:g} is not finite; refine the grid there",
+            interval=(float(nu[i]), float(nu[i])),
+        )
 
     mags = np.abs(values)
     small = np.nonzero(mags < 1e-12)[0]

@@ -113,11 +113,6 @@ class FourierOperatorPair:
             raise ValueError(f"phihat diagonal c_0 is not real (imaginary part {c0.imag:.3e})")
 
     @property
-    def A_minus(self) -> np.ndarray:
-        """Dense diag(momenta)."""
-        return np.diag(self.momenta)
-
-    @property
     def A_plus_n(self) -> np.ndarray:
         """Dense A_{+,n}, built on demand (M^2 entries)."""
         c = self.column
@@ -152,20 +147,23 @@ def _legendre_rule(N: int) -> tuple:
     return x, w
 
 
-def build_grid(profile: PotentialProfile, N: int, tail_eps: float = 1e-12) -> QuadratureGrid:
-    """Gauss-Legendre grid on [-L, L] with L = profile.tail_radius(tail_eps).
+# The |phi| mass left outside the truncated line [-L, L], by the grid and the
+# Fourier box alike.
+TAIL_EPS = 1e-12
+
+
+def build_grid(profile: PotentialProfile, N: int) -> QuadratureGrid:
+    """Gauss-Legendre grid on [-L, L] with L = profile.tail_radius(TAIL_EPS).
 
     The truncation radius is taken straight from the profile's exact
-    tail inverse, so the |phi| mass outside the grid is below tail_eps
+    tail inverse, so the |phi| mass outside the grid is below TAIL_EPS
     by construction.
     """
     if N < 8:
         raise ValueError(f"need at least 8 nodes, got {N}")
-    if not tail_eps > 0.0:
-        raise ValueError("tail_eps must be positive")
-    L = float(profile.tail_radius(tail_eps))
+    L = float(profile.tail_radius(TAIL_EPS))
     if not math.isfinite(L):
-        raise ValueError(f"profile tail radius at eps={tail_eps:g} is not finite")
+        raise ValueError(f"profile tail radius at eps={TAIL_EPS:g} is not finite")
     if L <= 0.0:
         raise ValueError(
             "profile carries no mass, so no truncation radius exists; "
@@ -217,34 +215,31 @@ _MATRIX_BLOCK_ENTRIES = 1 << 13
 class MollifiedBSFamily:
     """Mollified BS matrices over a sweep of boundary points nu + i0.
 
-    With d = x_i - x_j, row = +/-i sgn(phi) u and col = u (u the
-    weighted |phi|^(1/2) factor), the upper-side entries are
+    With d = x_i - x_j, row = i sgn(phi) u and col = u (u the weighted
+    |phi|^(1/2) factor), the entries at mollifier index n are
     row_i col_j c_near e^(n d) above the diagonal (rank 1) and
     row_i col_j (c_osc e^(i nu d) - c_far e^(-n d)) on and below it
-    (rank 2); the lower side is the mirror image, its diagonal on the
-    near branch, where both branches agree since c_osc - c_far = c_near.
-    A family holds one n; det2_sweep eliminates that structure (the
-    lower side through its transpose) for a whole schedule of families
-    sharing a grid at once, in O(N) per point and n.  matrix(nu)
+    (rank 2).  Only this upper side nu + i0 is built: if T is its matrix
+    and S = diag(sgn phi), the lower side's is S T^H S (T^H where phi
+    keeps one sign), so its det2 is the complex conjugate.  A family holds one
+    profile on one grid; det2_sweep eliminates that structure for a
+    whole schedule of n at once, in O(N) per point and n.  matrix(n, nu)
     assembles one dense matrix, the package's only dense view of the
     mollified kernel and the oracle of the structured path.  It agrees
     with assemble() over kernels.bs_kernel_mollified to rounding.
     """
 
-    def __init__(self, profile: PotentialProfile, n: int, grid: QuadratureGrid, side: str = "upper"):
-        if side not in ("upper", "lower"):
-            raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-        self.n = _check_mollifier_index(n)
+    def __init__(self, profile: PotentialProfile, grid: QuadratureGrid):
         self.grid = grid
         phi = np.asarray(profile.phi(grid.nodes), dtype=float)
         u = np.sqrt(grid.weights) * np.sqrt(np.abs(phi))
-        upper = side == "upper"
-        self._s = 1.0 if upper else -1.0
-        self._row = (1j if upper else -1j) * (np.sign(phi) * u)
+        self._row = 1j * (np.sign(phi) * u)
         self._col = u
 
-    def matrix(self, nu: float, out: Optional[np.ndarray] = None) -> BirmanSchwingerMatrix:
-        """The dense matrix at nu + i0, assembled a block of rows at a time.
+    def matrix(
+        self, n: int, nu: float, out: Optional[np.ndarray] = None
+    ) -> BirmanSchwingerMatrix:
+        """The dense matrix at index n and nu + i0, assembled a block of rows at a time.
 
         Each entry takes the same floating-point operations, in the same
         operand order, as the branch formula of the class docstring
@@ -254,6 +249,7 @@ class MollifiedBSFamily:
         (N, N) array, receives the entries in place of a new array, so a
         caller checking several matrices can reuse one buffer.
         """
+        n = _check_mollifier_index(n)
         N = self.grid.N
         if out is None:
             entries = np.empty((N, N), dtype=complex)
@@ -263,7 +259,7 @@ class MollifiedBSFamily:
             entries = out
         z = complex(nu)
         x = self.grid.nodes
-        c_near, c_osc, c_far = _mollified_coefficients(self.n, z, self._s)
+        c_near, c_osc, c_far = _mollified_coefficients(n, z, 1.0)
         osc = np.exp(1j * z * x)
         wave = osc.conj()
         rows = max(1, _MATRIX_BLOCK_ENTRIES // N)
@@ -278,44 +274,36 @@ class MollifiedBSFamily:
             np.multiply.outer(osc[start:stop], wave, out=block)
             np.subtract.outer(x[start:stop], x, out=d)
             np.abs(d, out=d)
-            d *= -self.n
+            d *= -n
             np.exp(d, out=d)
             np.multiply(c_osc, block, out=block)
             np.multiply(c_far, d, out=f)
             block -= f
-            # x is strictly increasing, so x_i < x_j exactly when i < j; the diagonal
-            # takes the far branch above the axis and the near one below
-            if self._s > 0:
-                np.less.outer(np.arange(start, stop), columns, out=m)
-            else:
-                np.greater_equal.outer(np.arange(start, stop), columns, out=m)
+            # x is strictly increasing, so x_i < x_j exactly when i < j: the
+            # near branch lies strictly above the diagonal
+            np.less.outer(np.arange(start, stop), columns, out=m)
             np.multiply(c_near, d, out=block, where=m)
             np.multiply(self._row[start:stop, None], block, out=block)
             block *= self._col
         return BirmanSchwingerMatrix(entries=entries)
 
 
-def det2_sweep(families: Sequence[MollifiedBSFamily], nu_grid: np.ndarray) -> np.ndarray:
-    """det2 of every family's matrix(nu) at every nu, shape (len(families), len(nu_grid)).
+def det2_sweep(
+    family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.ndarray
+) -> np.ndarray:
+    """det2 of family.matrix(n, nu) at every n and nu, shape (len(schedule), len(nu_grid)).
 
-    The families share one profile, grid and side and differ only in n,
-    so one det2_semiseparable elimination serves the whole schedule:
+    One det2_semiseparable elimination serves the whole schedule:
     T = diag(row) F diag(col) has the determinant of diag(row col) F.
-    The lower side enters through its transpose, which has the upper
-    side's shape with the wave reversed, since det2(I + T) = det2(I + T^T).
     """
-    first = families[0]
-    if any(f.grid is not first.grid or not np.array_equal(f._row, first._row) for f in families):
-        raise ValueError("the families of one sweep must share their profile, grid and side")
     nu = np.asarray(nu_grid, dtype=float)
-    rates = np.array([f.n for f in families], dtype=float)
-    s = first._s
+    rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
     return det2_semiseparable(
-        first._row * first._col,
-        np.diff(first.grid.nodes),
+        family._row * family._col,
+        np.diff(family.grid.nodes),
         rates,
-        s * nu,
-        _mollified_coefficients(rates[:, None], nu, s),
+        nu,
+        _mollified_coefficients(rates[:, None], nu, 1.0),
     )
 
 
@@ -338,7 +326,7 @@ def fourier_pair(
         raise ValueError("box_half_length must be positive")
     if M < 64 or M % 2 != 0:
         raise ValueError(f"M must be even and at least 64, got {M}")
-    tail = profile.tail_radius(1e-12)
+    tail = profile.tail_radius(TAIL_EPS)
     if ell < tail:
         raise ValueError(
             f"box half-length {ell:g} is smaller than the profile tail radius {tail:g}"

@@ -57,10 +57,10 @@ def decay_ratio(profile: PotentialProfile, grid: QuadratureGrid) -> float:
     """Largest ||T_n(nu)||_HS^2 over its bound 2.5 n^2/(nu^2+n^2) ||phi||_1^2."""
     l1 = profile.l1_norm
     worst = 0.0
+    family = MollifiedBSFamily(profile, grid)
     for n in (2, 8):
-        family = MollifiedBSFamily(profile, n, grid)
         for nu in (0.0, 2.0, 5.0):
-            T = family.matrix(nu).entries
+            T = family.matrix(n, nu).entries
             bound = 2.5 * n * n / (nu * nu + n * n) * l1 * l1 * HS_SLACK
             worst = max(worst, hs_norm(T) ** 2 / bound)
     return worst

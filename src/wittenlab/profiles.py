@@ -91,12 +91,6 @@ class PotentialProfile:
             out["support"] = self.support
         return out
 
-    def scaled(self, factor: float) -> "PotentialProfile":
-        """Profile with amplitude multiplied by ``factor``."""
-        return builtin_profile(
-            self.kind, self.amplitude * factor, width=self.width, support=self.support
-        )
-
 
 def builtin_profile(
     kind: str,

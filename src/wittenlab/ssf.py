@@ -158,9 +158,13 @@ _SPOT_CHECK_TOL = 1e-9
 
 
 def _spot_check(
-    family: MollifiedBSFamily, nu_grid: np.ndarray, values: np.ndarray, workspace: np.ndarray
+    family: MollifiedBSFamily,
+    n: int,
+    nu_grid: np.ndarray,
+    values: np.ndarray,
+    workspace: np.ndarray,
 ) -> None:
-    """Hold one structured sweep to the dense LU det2 at one point.
+    """Hold the structured sweep at index n to the dense LU det2 at one point.
 
     The check runs where |det2| is smallest, where the elimination
     without pivoting is least well conditioned, or at the first NaN
@@ -172,7 +176,7 @@ def _spot_check(
     """
     k = int(np.argmin(np.abs(values)))
     nu = float(nu_grid[k])
-    dense = det2(family.matrix(nu, out=workspace).entries, overwrite=True)
+    dense = det2(family.matrix(n, nu, out=workspace).entries, overwrite=True)
     if not abs(values[k] - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense)):
         raise RefinementNeededError(
             f"structured det2 {values[k]:.6g} disagrees with the dense det2 "
@@ -203,7 +207,6 @@ def ssf_mollified(
     nu_grid: np.ndarray,
     N: int,
     *,
-    tail_eps: float = 1e-12,
     threads: Optional[int] = None,
 ) -> Union[SSFCurve, tuple]:
     """Mollified 1-D spectral shift function on a symmetric nu grid.
@@ -234,19 +237,19 @@ def ssf_mollified(
         curves = tuple(_zero_curve(nu, m, N) for m in schedule)
         return curves[0] if single else curves
 
-    grid = build_grid(profile, N, tail_eps)
+    grid = build_grid(profile, N)
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
-    families = [MollifiedBSFamily(profile, m, grid) for m in schedule]
-    sweep = det2_sweep(families, nu)
+    family = MollifiedBSFamily(profile, grid)
+    sweep = det2_sweep(family, schedule, nu)
     # allocated after the elimination, whose working memory is freed by now
     workspace = np.empty((grid.N, grid.N), dtype=complex)
     curves = []
     try:
-        for family, values in zip(families, sweep):
-            _spot_check(family, nu, values, workspace)
+        for m, values in zip(schedule, sweep):
+            _spot_check(family, m, nu, values, workspace)
             pc = phase_curve(nu, values)
-            xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, family.n, nu))) / math.pi
+            xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
             curves.append(
                 SSFCurve(
                     grid=nu,
@@ -254,7 +257,7 @@ def ssf_mollified(
                     kind=SSFKind.ONE_DIM_MOLLIFIED,
                     provenance={
                         "N": N,
-                        "n": family.n,
+                        "n": m,
                         "nu_max": nu_max,
                         "total_integral": profile.total_integral,
                         "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
@@ -451,8 +454,6 @@ def krein_check_trn(
     nu_max: float = 12.0,
     nu_points: Optional[int] = None,
     M: int = 1024,
-    box_half_length: Optional[float] = None,
-    tail_eps: float = 1e-12,
     threads: Optional[int] = None,
 ) -> TraceCheckReport:
     """Resolvent trace formula residual: Fourier oracle vs det2 pipeline.
@@ -460,7 +461,8 @@ def krein_check_trn(
     lhs = (1/2z) tr(g_z(A_{+,n}) - g_z(A_-)) from the plane-wave
     discretization; rhs = (1/2z) integral of xi_n(nu) g_z'(nu) dnu from
     the determinant-phase curve.  The two sides share no numerical
-    machinery, so their agreement validates both.  params records the
+    machinery, so their agreement validates both.  The Fourier box is
+    [-2L, 2L], twice the Nystrom grid's truncated line.  params records the
     oracle's half-band and its certified bound on the band truncation
     error (band None and bound 0.0 on the dense path); the rounding of
     the eigensolver comes on top of that bound.
@@ -472,9 +474,7 @@ def krein_check_trn(
     if profile.l1_norm == 0.0:
         return TraceCheckReport(lhs=0j, rhs=0j, residual=0.0, params=params)
 
-    grid = build_grid(profile, N, tail_eps)
-    if box_half_length is None:
-        box_half_length = 2.0 * grid.L
+    box_half_length = 2.0 * build_grid(profile, N).L
     if nu_points is None:
         nu_points = N + 1
     params.update({"box_half_length": box_half_length, "nu_points": nu_points})
@@ -485,7 +485,7 @@ def krein_check_trn(
     lhs = trace_gz_diff(pair, z) / (2.0 * z)
 
     nu_grid = np.linspace(-nu_max, nu_max, nu_points)
-    curve = ssf_mollified(profile, n, nu_grid, N, tail_eps=tail_eps, threads=threads)
+    curve = ssf_mollified(profile, n, nu_grid, N, threads=threads)
     # g_z'(nu) = -z (nu^2 - z)^(-3/2), so (1/2z) * integral(xi g') = -(1/2) integral(xi w)
     rhs = -_half_weight_integral(curve, z)
     return TraceCheckReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), params=params)
@@ -516,7 +516,6 @@ def trace_identity_eq1(
     lambda_cells: int = 160,
     t_points: int = 2001,
     synthetic_constant: Optional[float] = None,
-    tail_eps: float = 1e-12,
     threads: Optional[int] = None,
 ) -> TraceCheckReport:
     """Stieltjes-pair residual between the 2-D and 1-D trace integrals.
@@ -548,7 +547,7 @@ def trace_identity_eq1(
         if nu_points is None:
             nu_points = N + 1
         nu_grid = np.linspace(-nu_max, nu_max, nu_points)
-        curve = ssf_mollified(profile, n, nu_grid, N, tail_eps=tail_eps, threads=threads)
+        curve = ssf_mollified(profile, n, nu_grid, N, threads=threads)
         evaluator = _extended_evaluator(curve)
         rhs = _half_weight_integral(curve, z)
         params["nu_points"] = nu_points

@@ -139,7 +139,6 @@ def witten_index(
     nu_points: Optional[int] = None,
     lambda_cells: int = 160,
     t_points: int = 2001,
-    tail_eps: float = 1e-12,
     threads: Optional[int] = None,
 ) -> WittenReport:
     """Full index pipeline against the closed-form reference.
@@ -192,7 +191,7 @@ def witten_index(
     floor = min(1e-6, 1e-3 * float(np.min(np.abs(lam_sched))))
     lam_grid = _lambda_grid(nu_max, lambda_cells, floor)
 
-    curves = ssf_mollified(profile, schedule, nu_grid, N, tail_eps=tail_eps, threads=threads)
+    curves = ssf_mollified(profile, schedule, nu_grid, N, threads=threads)
     delta_per_n = []
     for n, curve in zip(schedule, curves):
         xi2d = pushnitski(_extended_evaluator(curve), lam_grid, t_points=t_points)

@@ -7,8 +7,9 @@ exercised on synthetic det2 families whose continuous phase is known
 in closed form, including one whose phase climbs past pi and returns,
 which a naive principal-branch reading would fold back.  The structured det2
 of the sweep is held to the dense LU det2 over the mollifier indices,
-profile kinds, signs, widths, resolutions and both boundary sides, the
-lower side entering through its transpose.
+profile kinds, signs, widths and resolutions on the upper side nu + i0,
+and its complex conjugate to the dense det2 of the closed-form kernel at
+nu - i0, the lower side, which the sweep never builds.
 """
 
 import cmath
@@ -23,6 +24,8 @@ from wittenlab import (
     NearSingularError,
     RefinementNeededError,
     SpectralPoint,
+    assemble,
+    bs_kernel_mollified,
     bs_matrix,
     build_grid,
     builtin_profile,
@@ -103,7 +106,7 @@ def test_det2_eigenvalue_product():
 
 
 def test_det2_copies_its_input_once(traced_peak):
-    T = MollifiedBSFamily(GAUSS, 16, build_grid(GAUSS, 400)).matrix(0.3).entries
+    T = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 400)).matrix(16, 0.3).entries
     before = T.tobytes()
     peak, _ = traced_peak(lambda: det2(T))
     assert peak <= 1.25 * T.nbytes
@@ -190,6 +193,17 @@ def test_phase_curve_decay_contracts():
         phase_curve(nu, det2_values=far_from_one)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_phase_curve_refuses_a_non_finite_value(bad):
+    # a NaN compares false in every contract check, and an inf has no phase
+    nu = np.linspace(-3.0, 3.0, 61)
+    values = np.exp(0.3j * np.exp(-(nu**2)))
+    values[30] = bad
+    with pytest.raises(RefinementNeededError, match="not finite") as err:
+        phase_curve(nu, det2_values=values)
+    assert err.value.interval == (float(nu[30]), float(nu[30]))
+
+
 def test_phase_curve_grid_validation():
     with pytest.raises(ValueError):
         phase_curve(np.array([0.0]), det2_values=np.array([1.0 + 0j]))
@@ -230,6 +244,19 @@ SHAPES = [
 ]
 
 
+def _dense_det2(profile, n, grid, nu, side):
+    """Dense LU det2 at nu + i0: of the family's matrix on the upper side, and on
+    the lower side the conjugate of the closed-form kernel's det2 at nu - i0."""
+    if side == "upper":
+        family = MollifiedBSFamily(profile, grid)
+        return np.array([det2(family.matrix(n, v).entries) for v in nu])
+    return np.array([
+        det2(assemble(lambda x, xp: bs_kernel_mollified(
+            profile, n, SpectralPoint.boundary(v, side="lower"), x, xp), grid).entries)
+        for v in nu
+    ]).conj()
+
+
 @pytest.mark.parametrize("side", ("upper", "lower"))
 @pytest.mark.parametrize("N", (64, 400, 800))
 def test_structured_det2_matches_dense(N, side):
@@ -240,9 +267,9 @@ def test_structured_det2_matches_dense(N, side):
     nu = np.array([-12.0, 0.5, 6.0])
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
-        family = MollifiedBSFamily(profile, n, build_grid(profile, N), side=side)
-        structured = det2_sweep([family], nu)[0]
-        dense = np.array([det2(family.matrix(v).entries) for v in nu])
+        grid = build_grid(profile, N)
+        structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu)[0]
+        dense = _dense_det2(profile, n, grid, nu, side)
         assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
 
 
@@ -251,23 +278,7 @@ def test_structured_det2_does_not_overflow(side):
     # 2 n L is about 2600 here; factors exp(+-n x) left unscaled would overflow
     grid = build_grid(GAUSS, 400)
     assert 2 * 256 * grid.L > 709.0
-    family = MollifiedBSFamily(GAUSS, 256, grid, side=side)
     nu = np.linspace(-12.0, 12.0, 9)
-    structured = det2_sweep([family], nu)[0]
+    structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu)[0]
     assert np.all(np.isfinite(structured))
-    dense = np.array([det2(family.matrix(v).entries) for v in nu])
-    assert_allclose(structured, dense, rtol=1e-12)
-
-
-def test_det2_sweep_needs_one_profile_grid_and_side():
-    grid = build_grid(GAUSS, 64)
-    family = MollifiedBSFamily(GAUSS, 4, grid)
-    nu = np.array([-1.0, 1.0])
-    strangers = (
-        MollifiedBSFamily(GAUSS, 8, build_grid(GAUSS, 64)),
-        MollifiedBSFamily(builtin_profile("gaussian", 2.0, 1.0), 8, grid),
-        MollifiedBSFamily(GAUSS, 8, grid, side="lower"),
-    )
-    for stranger in strangers:
-        with pytest.raises(ValueError, match="must share"):
-            det2_sweep([family, stranger], nu)
+    assert_allclose(structured, _dense_det2(GAUSS, 256, grid, nu, side), rtol=1e-12)

@@ -158,8 +158,8 @@ def test_c0_gaussian_reference():
 
 def test_c0_linear_in_amplitude():
     base = builtin_profile("sech2", 0.3, 1.0)
-    assert_allclose(c0(base.scaled(3.0)), 3.0 * c0(base), rtol=1e-14)
-    assert c0(base.scaled(0.0)) == 0.0
+    assert_allclose(c0(builtin_profile("sech2", 0.9, 1.0)), 3.0 * c0(base), rtol=1e-14)
+    assert c0(builtin_profile("sech2", 0.0, 1.0)) == 0.0
 
 
 def test_descriptor_round_trip():

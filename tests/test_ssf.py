@@ -151,13 +151,15 @@ def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
     if corruption == "perturbed":
         # every value 1e-6 off; the check looks where |det2| is smallest
         corrupt = lambda values: values * (1.0 + 1e-6)
-        values = exact([MollifiedBSFamily(GAUSS, 2, build_grid(GAUSS, 300))], nu)[0]
+        values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0]
         refused = float(nu[np.argmin(np.abs(values))])
     else:
         # a zero pivot at one point; the check looks at the NaN
         corrupt = lambda values: np.where(np.arange(values.shape[-1]) == 40, np.nan, values)
         refused = float(nu[40])
-    monkeypatch.setattr(ssf, "det2_sweep", lambda families, nu: corrupt(exact(families, nu)))
+    monkeypatch.setattr(
+        ssf, "det2_sweep", lambda family, schedule, nu: corrupt(exact(family, schedule, nu))
+    )
     with pytest.raises(RefinementNeededError, match="disagrees with the dense det2") as err:
         small_curve(n=2)
     assert err.value.interval == (refused, refused)
