@@ -10,8 +10,11 @@ the pivot product.  Sweeps skip the dense matrix altogether:
 det2_semiseparable eliminates the one shape the mollified sweep
 produces, diagonal weights times a kernel of rank 2 on and below the
 diagonal and rank 1 above it (Eidelman-Gohberg), in O(N) per point.
-It runs over a whole batch of decay rates and wave numbers at once,
-two state numbers per matrix, and the dense det2 remains its oracle.
+It runs over a whole batch of decay rates and wave numbers at once, in
+the division-free lifted form of the elimination (Gohberg-Goldberg-
+Krupnik, ch. IX): three state numbers per matrix, rescaled by a power
+of two once per block of nodes, so a pivot through zero is carried
+rather than divided by.  The dense det2 remains its oracle.
 
 Phase unwrapping is anchored at the leftmost sweep point, where the
 determinant must already be close to 1, and swept upward with a
@@ -123,12 +126,10 @@ def det2(T: np.ndarray, overwrite: bool = False) -> complex:
     return det_complex(shifted) * correction
 
 
-# Pivots multiplied per log: a complex log costs about as much as 200
-# complex multiplies.  A block product that leaves double range is
-# replaced by the sum of its pivots' own logs.
-_PIVOT_BLOCK = 32
-_TINY = np.finfo(float).tiny
+# Nodes swept between two rescales of the lifted state.
+_BLOCK = 32
 _HUGE = np.finfo(float).max
+_LN2 = math.log(2.0)
 
 
 def _cis(theta: np.ndarray) -> np.ndarray:
@@ -139,15 +140,55 @@ def _cis(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_product(pivots: np.ndarray) -> np.ndarray:
-    """Sum of the logs of pivots along axis 0, as one log of their product where it is normal."""
-    product = np.prod(pivots, axis=0)
-    size = np.abs(product)
-    logs = np.log(size) + 1j * np.angle(product)
-    outside = ~((size >= _TINY) & (size <= _HUGE))
-    if outside.any():
-        logs[outside] = np.sum(np.log(pivots[:, outside]), axis=0)
-    return logs
+def _rescale(state: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """Scale each lane of state by 2^-e, with 2^e just above its max-abs part; add e to exponent.
+
+    state is (3, *lanes) and exponent has the lanes' shape.  A power of
+    two scales without rounding, so where and how often the state is
+    rescaled never changes its digits.  Returns the lanes whose max-abs
+    part is 0 or not finite; these are left as they were.
+    """
+    parts = np.abs(state.view(float))
+    size = np.maximum(parts[0], parts[1])
+    np.maximum(size, parts[2], out=size)
+    size = np.maximum(size[..., 0::2], size[..., 1::2])
+    e = np.frexp(size)[1]
+    # keeps 2^-e finite: a max-abs part below 2^-1021 is scaled to at least 2^-53
+    np.maximum(e, -1021, out=e)
+    factor = np.repeat(np.ldexp(1.0, -e), 2, axis=-1)
+    for part in state.view(float):
+        part *= factor
+    exponent += e
+    return ~((size > 0.0) & (size <= _HUGE))
+
+
+def _lifted_nodes(weights, steps, coef, state, exponent=None) -> None:
+    """Run the lifted recurrence over consecutive nodes, in place on state = (b, a_0, a_1).
+
+    steps[j] holds the transitions after node j, so a block that ends
+    at the last node has one step fewer than it has weights.  With an
+    exponent array given, the state is rescaled after every node.
+    """
+    c_near, c_osc, c_far = coef
+    b, a0, a1 = state
+    v = np.empty_like(b)
+    scratch = np.empty_like(b)
+    for j, weight in enumerate(weights):
+        np.multiply(c_near, b, out=v)
+        np.multiply(c_osc, a0, out=scratch)
+        v -= scratch
+        np.multiply(c_far, a1, out=scratch)
+        v += scratch
+        v *= weight
+        b += v
+        if j == len(steps):
+            break
+        a0 += v
+        a0 *= steps[j, 0]
+        a1 += v
+        a1 *= steps[j, 1]
+        if exponent is not None:
+            _rescale(state, exponent)
 
 
 def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
@@ -162,16 +203,20 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
 
     rank 1 above the diagonal and rank 2 below it.  The batch runs over
     rates (S,) and waves (P,), with coefficients = (c_near, c_osc, c_far)
-    broadcast to (S, P); the result has shape (S, P).  Gaussian
-    elimination without pivoting carries two numbers m_0, m_1 per matrix,
-    the rank-2 part of the eliminated block coupled through its inverse
-    to the rank-1 part: with v = weights_k (c_near - c_osc m_0 + c_far m_1)
-    the pivot is 1 + v, and m_c becomes (m_c + v) / (1 + v) times its
-    transition e^((i w - n) dx) or e^(-2 n dx).  These have modulus at
-    most 1, so nothing grows with the distance between nodes, and the
-    transition e^(i w dx) is shared by every rate.  The pivots multiply to
-    det(I + T), one log per block of _PIVOT_BLOCK nodes; a zero pivot
-    before the last node makes the value NaN rather than a guess.
+    broadcast to (S, P); the result has shape (S, P).  Elimination
+    without pivoting is carried in its linear (lifted) form, three
+    numbers per matrix: b, the determinant of the leading block, and
+    a_0, a_1, the rank-2 part of that block coupled through its inverse
+    to the rank-1 part times b.  At node k, with
+    V = weights_k (c_near b - c_osc a_0 + c_far a_1), b becomes b + V and
+    a_c becomes (a_c + V) times its transition e^((i w - n) dx) or
+    e^(-2 n dx); after the last node b = det(I + T).  No step divides,
+    so a pivot 1 + V/b through zero is carried like any other.  The
+    transitions have modulus at most 1, and e^(i w dx) is shared by
+    every rate.  After each block of _BLOCK nodes every matrix's state
+    is rescaled by a power of two near its max-abs part, whose log is
+    added to the result; a block whose end state is not finite or is 0
+    is swept again for those matrices alone, rescaled after every node.
     """
     u = np.asarray(weights, dtype=complex)
     dx = np.asarray(gaps, dtype=float)
@@ -183,40 +228,35 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
         raise ValueError("rates and waves must be 1-D")
     N = len(u)
     shape = (len(rates), len(waves))
-    c_near, c_osc, c_far = (np.broadcast_to(c, shape) for c in coefficients)
-    m0 = np.zeros(shape, dtype=complex)
-    m1 = np.zeros(shape, dtype=complex)
-    log_det = np.zeros(shape, dtype=complex)
-    pivots = np.empty((_PIVOT_BLOCK, *shape), dtype=complex)
-    # steps[j] holds node j's transitions of m_0 and m_1, refilled for each
-    # block.  They are materialized, and m_0 and m_1 updated one at a time,
-    # because numpy multiplies equal-shape complex arrays faster than
-    # broadcast ones.
-    steps = np.empty((_PIVOT_BLOCK, 2, *shape), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, N, _PIVOT_BLOCK):
-            stop = min(start + _PIVOT_BLOCK, N)
+    # materialized, because numpy multiplies equal-shape complex arrays
+    # faster than broadcast ones
+    coef = np.empty((3, *shape), dtype=complex)
+    for c, value in zip(coef, coefficients):
+        c[...] = value
+    state = np.zeros((3, *shape), dtype=complex)
+    state[0] = 1.0
+    start_state = np.empty_like(state)
+    exponent = np.zeros(shape, dtype=int)
+    # steps[j] holds node j's transitions of a_0 and a_1, refilled for each block
+    steps = np.empty((_BLOCK, 2, *shape), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        for start in range(0, N, _BLOCK):
+            stop = min(start + _BLOCK, N)
             block = dx[start:stop]
             fall = np.exp(-np.multiply.outer(block, rates))[:, :, None]
             step = steps[: len(block)]
             np.multiply(fall, _cis(np.multiply.outer(block, waves))[:, None, :], out=step[:, 0])
             step[:, 1] = fall * fall
-            for j, k in enumerate(range(start, stop)):
-                e = c_near - c_osc * m0
-                e += c_far * m1
-                v = u[k] * e
-                pivot = np.add(1.0, v, out=pivots[j])
-                if k == N - 1:
-                    break
-                r = 1.0 / pivot
-                m0 += v
-                m0 *= r
-                m0 *= step[j, 0]
-                m1 += v
-                m1 *= r
-                m1 *= step[j, 1]
-            log_det += _log_product(pivots[: stop - start])
-        return np.exp(log_det - c_near * np.sum(u))
+            start_state[...] = state
+            _lifted_nodes(u[start:stop], step, coef, state)
+            redo = _rescale(state, exponent)
+            if redo.any():
+                lanes = (slice(None), redo)
+                again, shift = start_state[lanes], exponent[redo]
+                _lifted_nodes(u[start:stop], step[:, :, redo], coef[lanes], again, shift)
+                state[lanes], exponent[redo] = again, shift
+        log_det = np.log(state[0]) + exponent * _LN2
+        return np.exp(log_det - coef[0] * np.sum(u))
 
 
 def hs_norm(T: np.ndarray) -> float:

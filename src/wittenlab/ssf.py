@@ -12,13 +12,17 @@ from the 1-D one by the arcsine-weighted transform
 
     xi_2d(lam) = (1/pi) * int_{-sqrt(lam)}^{sqrt(lam)} xi(nu) (lam - nu^2)^(-1/2) dnu,
 
-never by discretizing the 2-D operators; a whole lam grid is
-transformed in one call, as (lam, t) arrays of samples over fixed
-blocks of lam.  Two independent trace identities tie the pieces
-together and are exposed as residual reports: the resolvent trace
-formula checked against a Fourier-side oracle, and the Stieltjes pair
-equating the lam-integral of xi_2d against the nu-integral of the 1-D
-curve.
+never by discretizing the 2-D operators.  A whole lam grid is
+transformed in one call, over fixed blocks of lam, by the midpoint rule
+in t.  For a sampled (piecewise-linear) curve that sum is gathered per
+grid cell rather than per sample: each cell's sample count and sum of
+local coordinates give its hat weights, and only the samples beyond
+the sampled window are evaluated one by one; the curves of a schedule
+share one grid and one call.  Two independent trace identities tie
+the pieces together and are exposed as residual reports: the
+resolvent trace formula checked against a Fourier-side oracle, and the
+Stieltjes pair equating the lam-integral of xi_2d against the
+nu-integral of the 1-D curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
@@ -167,8 +171,10 @@ def _spot_check(
     """Hold the structured sweep at index n to the dense LU det2 at one point.
 
     The check runs where |det2| is smallest, where the elimination
-    without pivoting is least well conditioned, or at the first NaN
-    (a zero pivot), which argmin returns first; a disagreement beyond
+    without pivoting is least well conditioned, or at the first NaN,
+    which argmin returns first (the lifted sweep divides by no pivot;
+    it gives a NaN only where one node's step leaves double range, or
+    on non-finite input); a disagreement beyond
     _SPOT_CHECK_TOL * (1 + |dense|) is refused with that point named.
     The matrix is assembled in workspace, a complex N x N buffer, and
     det2 shifts its diagonal there, so checks sharing it allocate no
@@ -275,8 +281,164 @@ def ssf_mollified(
 _LAMBDA_BLOCK = 16
 
 
+def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
+    return _eta(total_integral, n, np.asarray(nu, dtype=float)) / math.pi
+
+
+@dataclass(frozen=True, eq=False)
+class _ExtendedCurve:
+    """Whole-line evaluator of a sampled mollified curve (see _extended_evaluator).
+
+    Linear between the (grid, inner) samples on the window [-span, span],
+    span = grid[-1], and the tail outside it: the constant limit when it
+    is set, else the closed-form eta_n / pi.
+    """
+
+    grid: np.ndarray
+    inner: np.ndarray
+    n: int
+    total: float
+    limit: Optional[float] = None
+
+    @property
+    def span(self) -> float:
+        return float(self.grid[-1])
+
+    def tail(self, nu: np.ndarray) -> np.ndarray:
+        if self.limit is not None:
+            return np.full(np.shape(nu), self.limit)
+        return _eta_over_pi(self.total, self.n, nu)
+
+    def __call__(self, nu):
+        nu = np.asarray(nu, dtype=float)
+        outside = (nu < -self.span) | (nu > self.span)
+        out = np.asarray(np.interp(nu, self.grid, self.inner))
+        out[outside] = self.tail(nu[outside])
+        return out if out.ndim else float(out)
+
+
+def _count_samples(sin_t: np.ndarray, roots: np.ndarray, edge: float, side: str) -> np.ndarray:
+    """Per root r, how many samples nu = r sin_t lie below edge (side "left") or at or below it.
+
+    searchsorted places edge / r among sin_t; that quotient and the
+    products r sin_t round differently, which moves the count by at most
+    one sample, so it is settled on the products themselves.
+    """
+    count = np.searchsorted(sin_t, edge / roots, side=side)
+    last = len(sin_t) - 1
+
+    def inside(k):
+        nu = roots * sin_t[k]
+        return nu < edge if side == "left" else nu <= edge
+
+    # where count is 0, sin_t[-1] stands in and count > 0 masks it out
+    count -= (count > 0) & ~inside(count - 1)
+    count += (count <= last) & inside(np.minimum(count, last))
+    return count
+
+
+def _hat_weights(grid, widths, span, roots, sin_t, prefix):
+    """Per root r, node weights that sum the window's samples of any linear interpolant on grid.
+
+    widths = np.diff(grid).  Row i of the (roots, nodes) result times
+    the node values is the sum, over the samples nu = r_i sin_t inside
+    the window [-span, span] (all samples if span is None), of the
+    interpolant as np.interp takes it: linear in each cell and constant
+    beyond the grid's ends.  A cell's
+    samples are a run of sin_t, found by searchsorted; its share of the
+    sum is its sample count at the left node plus the sum of the local
+    coordinates (nu - g_j) / h_j moved from the left node to the right
+    one, and prefix, the running sums of sin_t with a leading 0, gives
+    that sum in two lookups.  Also returns the window's bounds lo, hi:
+    samples lo <= k < hi are inside it.
+    """
+    T = len(sin_t)
+    if span is None:
+        lo = np.zeros(len(roots), dtype=int)
+        hi = np.full(len(roots), T)
+    else:
+        lo = _count_samples(sin_t, roots, -span, "left")
+        hi = _count_samples(sin_t, roots, span, "right")
+    counts = np.searchsorted(sin_t, grid / roots[:, None])
+    np.maximum(counts, lo[:, None], out=counts)
+    np.minimum(counts, hi[:, None], out=counts)
+    members = counts[:, 1:] - counts[:, :-1]
+    local = prefix[counts[:, 1:]] - prefix[counts[:, :-1]]
+    local *= roots[:, None]
+    local -= members * grid[:-1]
+    local /= widths
+    weights = np.empty(counts.shape)
+    np.subtract(members, local, out=weights[:, :-1])
+    weights[:, -1] = hi - counts[:, -1]
+    weights[:, 1:] += local
+    weights[:, 0] += counts[:, 0] - lo
+    return weights, lo, hi
+
+
+def _arcsine_rule(sources: tuple, lams: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
+    """Midpoint means over t of piecewise-linear sources on one grid, shape (sources, lams).
+
+    Each block of lam builds one set of hat weights (_hat_weights) for
+    every source; only the samples outside an extended curve's window
+    are evaluated one by one, through its tail, into a scratch row
+    block per source.  Every row is reduced on its own, so a mean does
+    not depend on the other lam of its block.
+    """
+    first = sources[0]
+    extended = isinstance(first, _ExtendedCurve)
+    for source in sources:
+        if not isinstance(source, (SSFCurve, _ExtendedCurve)):
+            raise TypeError(f"unsupported source type {type(source).__name__} in a tuple")
+        if isinstance(source, _ExtendedCurve) is not extended or not np.array_equal(
+            source.grid, first.grid
+        ):
+            raise ValueError("the sources of one call must be of one kind on one grid")
+        if not extended:
+            _check_coverage(source, float(np.max(lams, initial=0.0)))
+    grid = first.grid
+    widths = np.diff(grid)
+    values = np.array([s.inner if extended else s.values for s in sources])
+    span = first.span if extended else None
+    roots = np.sqrt(lams)
+    T = len(sin_t)
+    prefix = np.concatenate(([0.0], np.cumsum(sin_t)))
+    index = np.arange(T)
+    sums = np.empty((len(sources), len(roots)))
+    for start in range(0, len(roots), _LAMBDA_BLOCK):
+        block = slice(start, start + _LAMBDA_BLOCK)
+        r = roots[block]
+        weights, lo, hi = _hat_weights(grid, widths, span, r, sin_t, prefix)
+        scratch = np.empty_like(weights)
+        for values_c, sums_c in zip(values, sums):
+            np.multiply(weights, values_c, out=scratch)
+            sums_c[block] = scratch.sum(axis=-1)
+        rows = np.flatnonzero((lo > 0) | (hi < T))
+        if rows.size:
+            nus = r[rows, None] * sin_t
+            outside = (index < lo[rows, None]) | (index >= hi[rows, None])
+            nus_out = nus[outside]
+            # nus is reused as each source's tail samples, 0 inside the window
+            tails = nus
+            for source, sums_c in zip(sources, sums):
+                tails.fill(0.0)
+                tails[outside] = source.tail(nus_out)
+                sums_c[start + rows] += tails.sum(axis=-1)
+    return sums / T
+
+
+def _check_coverage(curve: SSFCurve, top: float) -> None:
+    """Refuse a curve whose grid does not reach +-sqrt(top), up to 1e-12."""
+    root = math.sqrt(top)
+    lo, hi = float(curve.grid[0]), float(curve.grid[-1])
+    if -root < lo - 1e-12 or root > hi + 1e-12:
+        raise CoverageError(
+            f"1-D curve covers [{lo:g}, {hi:g}] but lam = {top:g} "
+            f"requires [-{root:g}, {root:g}]"
+        )
+
+
 def pushnitski(
-    source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray]],
+    source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray], tuple],
     lam: Union[float, np.ndarray],
     *,
     t_points: int = 2001,
@@ -286,13 +448,17 @@ def pushnitski(
     Substituting nu = sqrt(lam) sin(t) turns the weight into the flat
     measure dt/pi on (-pi/2, pi/2), so a uniform midpoint grid in t
     integrates constants exactly and odd integrands to rounding.
-    source may be a constant, a callable of nu, or a sampled 1-D curve
-    (interpolated linearly; lam beyond its span is a coverage error).
-    A scalar lam returns a float; an array of lam returns an array of
-    its shape, evaluated _LAMBDA_BLOCK values at a time as (block, t)
-    arrays of samples, each row reduced along t on its own, so every
-    entry equals the scalar call.  A callable source is called once per
-    block.
+    source may be a constant or a callable of nu, sampled at every
+    (lam, t) point, _LAMBDA_BLOCK values of lam at a time, and called
+    once per block.  A sampled 1-D curve (interpolated linearly; lam
+    beyond its span is a coverage error) or an extended curve from
+    _extended_evaluator takes the same midpoint sum cell by cell
+    (_arcsine_rule), within 1e-14 of sampling it; a tuple of either
+    kind on one grid is transformed in one call, sharing each block's
+    rule.  A scalar lam returns a float, an array of lam an array of
+    its shape, and a tuple of sources a leading axis of one row per
+    source; every row of lam is reduced on its own, so every entry
+    equals the scalar call.
     """
     lams = np.asarray(lam, dtype=float)
     bad = lams[~(lams > 0.0)]
@@ -302,24 +468,19 @@ def pushnitski(
         raise ValueError("t_points must be at least 3")
     t = -0.5 * math.pi + (np.arange(t_points) + 0.5) * (math.pi / t_points)
     sin_t = np.sin(t)
+    if isinstance(source, tuple):
+        if not source:
+            raise ValueError("the tuple of sources must be nonempty")
+        means = _arcsine_rule(source, lams.reshape(-1), sin_t)
+        return means.reshape(len(source), *lams.shape)
+    if isinstance(source, (SSFCurve, _ExtendedCurve)):
+        means = _arcsine_rule((source,), lams.reshape(-1), sin_t)[0]
+        return means.reshape(lams.shape) if lams.ndim else float(means[0])
     if isinstance(source, numbers.Real):
         value = float(source)
 
         def samples(nus):
             return np.full(nus.shape, value)
-
-    elif isinstance(source, SSFCurve):
-        top = float(np.max(lams, initial=0.0))
-        root = math.sqrt(top)
-        lo, hi = float(source.grid[0]), float(source.grid[-1])
-        if -root < lo - 1e-12 or root > hi + 1e-12:
-            raise CoverageError(
-                f"1-D curve covers [{lo:g}, {hi:g}] but lam = {top:g} "
-                f"requires [-{root:g}, {root:g}]"
-            )
-
-        def samples(nus):
-            return np.interp(nus, source.grid, source.values)
 
     elif callable(source):
 
@@ -336,13 +497,7 @@ def pushnitski(
     return means.reshape(lams.shape) if lams.ndim else float(means[0])
 
 
-def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
-    return _eta(total_integral, n, np.asarray(nu, dtype=float)) / math.pi
-
-
-def _extended_evaluator(
-    curve: SSFCurve, *, eta_correction: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
+def _extended_evaluator(curve: SSFCurve, *, eta_correction: bool = False) -> _ExtendedCurve:
     """Whole-line evaluator for a sampled mollified curve.
 
     Inside the sampled window the curve is interpolated linearly; the
@@ -350,6 +505,8 @@ def _extended_evaluator(
     like nu^-2 and is negligible out there).  With eta_correction the
     sampled eta term is replaced by its n -> infinity limit everywhere,
     leaving phase/pi plus a constant; the tail is then that constant.
+    The evaluator is a callable of nu that also carries its grid, inner
+    values and tail, which pushnitski's per-cell rule reads.
     """
     n = curve.provenance.get("n")
     total = curve.provenance.get("total_integral")
@@ -360,17 +517,7 @@ def _extended_evaluator(
     limit = total / (2.0 * math.pi)
     if eta_correction:
         inner = inner - _eta_over_pi(total, n, grid) + limit
-
-    span = float(grid[-1])
-
-    def evaluate(nu):
-        nu = np.asarray(nu, dtype=float)
-        outside = (nu < -span) | (nu > span)
-        out = np.asarray(np.interp(nu, grid, inner))
-        out[outside] = limit if eta_correction else _eta_over_pi(total, n, nu[outside])
-        return out if out.ndim else float(out)
-
-    return evaluate
+    return _ExtendedCurve(grid, inner, n, total, limit if eta_correction else None)
 
 
 def ssf_2d_curve(

@@ -144,9 +144,10 @@ def witten_index(
     """Full index pipeline against the closed-form reference.
 
     One mollified curve per schedule entry, all from one ssf_mollified
-    sweep over the schedule, each transformed to 2-D and integrated to
-    Delta_r on the lam schedule; the mollifier is then extrapolated away
-    at second order and lam is extrapolated to 0 linearly.  The reported
+    sweep over the schedule and transformed to 2-D by one pushnitski
+    call, each integrated to Delta_r on the lam schedule; the mollifier
+    is then extrapolated away at second order and lam is extrapolated
+    to 0 linearly.  The reported
     delta_r_values belong to the mollifier-extrapolated curve (by
     linearity of every stage, these are the extrapolated combinations of
     the per-n values).
@@ -192,11 +193,14 @@ def witten_index(
     lam_grid = _lambda_grid(nu_max, lambda_cells, floor)
 
     curves = ssf_mollified(profile, schedule, nu_grid, N, threads=threads)
+    # one transform for the schedule: every curve shares the nu grid
+    xi2d = pushnitski(
+        tuple(_extended_evaluator(curve) for curve in curves), lam_grid, t_points=t_points
+    )
     delta_per_n = []
-    for n, curve in zip(schedule, curves):
-        xi2d = pushnitski(_extended_evaluator(curve), lam_grid, t_points=t_points)
+    for n, values in zip(schedule, xi2d):
         two_dim = SSFCurve(
-            grid=lam_grid, values=xi2d, kind=SSFKind.TWO_DIM, provenance={"n": n}
+            grid=lam_grid, values=values, kind=SSFKind.TWO_DIM, provenance={"n": n}
         )
         delta_per_n.append(delta_r(two_dim, lam_sched))
     delta_per_n = np.array(delta_per_n)

@@ -213,13 +213,45 @@ def test_phase_curve_grid_validation():
         phase_curve(np.array([0.0, 1.0]), det2_values=np.ones(3, dtype=complex))
 
 
-def test_det2_quasiseparable_zero_pivot_is_nan():
+def _dense_semiseparable(weights, gaps, rate, wave, coefficients):
+    """diag(weights) F of det2_semiseparable's docstring, built entry by entry."""
+    c_near, c_osc, c_far = coefficients
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    d = np.subtract.outer(x, x)
+    near = c_near * np.exp(rate * d)
+    below = c_osc * np.exp(1j * wave * d) - c_far * np.exp(-rate * d)
+    F = np.where(d < 0.0, near, np.where(d > 0.0, below, c_near + 0j))
+    return np.asarray(weights, dtype=complex)[:, None] * F
+
+
+def test_det2_semiseparable_passes_a_zero_pivot():
+    # with c_near = 1 the first pivot of I + T is exactly 0; the lifted
+    # sweep divides by no pivot and carries the state through it
     N = 5
     weights = np.full(N, 0.3 + 0j)
-    weights[0] = -1.0  # with c_near = 1 the first pivot of I + T is 0
-    values = det2_semiseparable(weights, np.full(N - 1, 0.5), [1.0], [0.0], (1.0, 0.4, 0.2))
+    weights[0] = -1.0
+    gaps = np.full(N - 1, 0.5)
+    values = det2_semiseparable(weights, gaps, [1.0], [0.0], (1.0, 0.4, 0.2))
     assert values.shape == (1, 1)
-    assert np.isnan(values[0, 0])
+    dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.0, (1.0, 0.4, 0.2)))
+    assert_allclose(dense, 0.16617922990364423, rtol=1e-12)
+    assert_allclose(values[0, 0], 0.16617922990364423, rtol=1e-12)
+
+
+@pytest.mark.parametrize("node", (31, 32))
+def test_det2_semiseparable_zero_pivot_on_a_block_boundary(node):
+    # zero weights leave the carried state at its start, so the pivot at
+    # node is exactly 1 + weights[node] c_near = 0: the last node of the
+    # first block of 32, or the first node of the second
+    N = 48
+    weights = np.zeros(N, dtype=complex)
+    weights[node] = -1.0
+    weights[node + 1:] = 0.3 - 0.1j
+    gaps = np.full(N - 1, 0.5)
+    values = det2_semiseparable(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
+    dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.7, (1.0, 0.4, 0.2)))
+    assert np.isfinite(values[0, 0]) and abs(dense) > 1e-3
+    assert_allclose(values[0, 0], dense, rtol=1e-12)
 
 
 def test_det2_semiseparable_pivot_blocks_leave_double_range():

@@ -154,7 +154,7 @@ def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
         values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0]
         refused = float(nu[np.argmin(np.abs(values))])
     else:
-        # a zero pivot at one point; the check looks at the NaN
+        # a NaN at one point; the check looks there first
         corrupt = lambda values: np.where(np.arange(values.shape[-1]) == 40, np.nan, values)
         refused = float(nu[40])
     monkeypatch.setattr(
@@ -284,6 +284,88 @@ def test_pushnitski_working_set_does_not_grow_with_lam(traced_peak):
     peak_four, values = traced_peak(lambda: pushnitski(evaluator, four))
     assert peak_four <= peak + 2 * four.nbytes
     assert_array_equal(values, np.tile(pushnitski(evaluator, lam), 4))
+
+
+def test_pushnitski_working_set_of_a_schedule_does_not_grow_with_lam(traced_peak):
+    curves = ssf_mollified(GAUSS, (2, 4, 8, 16, 32), np.linspace(-12.0, 12.0, 401), 400)
+    evaluators = tuple(ssf._extended_evaluator(curve) for curve in curves)
+    lam = ssf._lambda_grid(12.0, 160, 1e-6)  # witten_index's lam grid
+    peak, values = traced_peak(lambda: pushnitski(evaluators, lam))
+    assert values.shape == (5, len(lam))
+    assert peak < 2e6
+    # four copies of the grid: the same blocks, so only the lam vectors and
+    # the (5, lam) outputs grow
+    four = np.tile(lam, 4)
+    peak_four, values_four = traced_peak(lambda: pushnitski(evaluators, four))
+    assert peak_four <= peak + 2 * (len(evaluators) + 1) * four.nbytes
+    assert_array_equal(values_four, np.tile(values, 4))
+
+
+def _per_sample_midpoint(source, lams, t_points=2001):
+    """The transform as sampled before the per-cell rule: interp at every (lam, t), then the mean."""
+    t = -0.5 * np.pi + (np.arange(t_points) + 0.5) * (np.pi / t_points)
+    nus = np.sqrt(np.asarray(lams, dtype=float))[:, None] * np.sin(t)
+    if isinstance(source, SSFCurve):
+        return np.mean(np.interp(nus, source.grid, source.values), axis=-1)
+    values = np.interp(nus, source.grid, source.inner)
+    outside = (nus < -source.grid[-1]) | (nus > source.grid[-1])
+    if source.limit is not None:
+        values[outside] = source.limit
+    else:
+        n = source.n
+        values[outside] = 0.5 * n * n / (nus[outside] ** 2 + n * n) * source.total / np.pi
+    # the evaluator, called at every sample, is the same whole-line function
+    assert_array_equal(source(nus), values)
+    return np.mean(values, axis=-1)
+
+
+def _lam_with_sample_on(node, k, t_points=2001):
+    """lam whose sample k, sqrt(lam) sin(t_k), is exactly node."""
+    t = -0.5 * np.pi + (np.arange(t_points) + 0.5) * (np.pi / t_points)
+    s = np.sin(t)[k]
+    r = node / s
+    for _ in range(64):
+        if r * s == node:
+            break
+        r = np.nextafter(r, np.inf if abs(r * s) < abs(node) else -np.inf)
+    lam = r * r
+    assert np.sqrt(lam) * s == node
+    return lam
+
+
+def test_arcsine_rule_matches_per_sample_midpoint():
+    nu = np.linspace(-12.0, 12.0, 401)
+    curves = ssf_mollified(GAUSS, (2, 4, 8, 16, 32), nu, 400)
+    # witten_index's grid and its five curves, with the eta tail
+    lam = ssf._lambda_grid(12.0, 160, 1e-6)
+    evaluators = tuple(ssf._extended_evaluator(curve) for curve in curves)
+    worst = 0.0
+    for evaluator, values in zip(evaluators, pushnitski(evaluators, lam)):
+        worst = max(worst, np.max(np.abs(values - _per_sample_midpoint(evaluator, lam))))
+    # ssf_2d_curve's constant tail, out to lam = 1e4 where most samples are in it
+    wide = np.geomspace(0.1, 1e4, 61)
+    constant = ssf._extended_evaluator(curves[2], eta_correction=True)
+    worst = max(worst, np.max(np.abs(pushnitski(constant, wide)
+                                     - _per_sample_midpoint(constant, wide))))
+    # samples exactly on an interior node (nu = 3), on +span and on -span,
+    # which take the node value as np.interp does; at these two edge
+    # samples, searchsorted of +-span / sqrt(lam) alone would put the
+    # sample in the tail
+    on_nodes = np.array([_lam_with_sample_on(3.0, 1700), _lam_with_sample_on(12.0, 1300),
+                         _lam_with_sample_on(-12.0, 4)])
+    for source in (evaluators[0], constant):
+        worst = max(worst, np.max(np.abs(pushnitski(source, on_nodes)
+                                         - _per_sample_midpoint(source, on_nodes))))
+    # a nonuniform grid, and rows whose samples all fall in the one cell
+    # about 0 of an even grid
+    stretched = 5.0 * np.sinh(np.linspace(-2.0, 2.0, 96)) / np.sinh(2.0)
+    curve = SSFCurve(grid=stretched, values=np.tanh(stretched) + 0.1 * stretched**2,
+                     kind=SSFKind.ONE_DIM_MOLLIFIED)
+    lams = np.concatenate((np.geomspace(1e-8, 1e-4, 5), np.geomspace(1e-3, 25.0, 40)))
+    r = np.sqrt(lams[:5])
+    assert np.all(np.searchsorted(stretched, r) == np.searchsorted(stretched, -r))
+    worst = max(worst, np.max(np.abs(pushnitski(curve, lams) - _per_sample_midpoint(curve, lams))))
+    assert worst <= 1e-14
 
 
 def test_pushnitski_validation():
