@@ -35,6 +35,7 @@ each assembles its matrix there and factors it in place.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -46,6 +47,7 @@ import numpy as np
 from .determinants import RefinementNeededError, det2, phase_curve
 from .discretize import (
     MollifiedBSFamily,
+    _legendre_rule,
     _require_off_halfline,
     build_grid,
     det2_sweep,
@@ -555,28 +557,66 @@ def ssf_2d_curve(
     return SSFCurve(grid=lam, values=values, kind=SSFKind.TWO_DIM, provenance=provenance)
 
 
-def _quad_complex(f: Callable[[float], complex], a: float, b: float) -> complex:
-    # imported here: scipy.integrate loads scipy.optimize, which only the
-    # quadrature tails of the trace checks need
-    from scipy import integrate
-
-    re, _ = integrate.quad(lambda t: f(t).real, a, b, limit=200)
-    im, _ = integrate.quad(lambda t: f(t).imag, a, b, limit=200)
-    return complex(re, im)
-
-
 def _resolvent_weight(nu, z: complex):
     """(nu^2 - z)^(-3/2) on the principal branch, never touching the cut."""
     w = np.asarray(nu, dtype=float).astype(complex) ** 2 - z
     return np.power(w, -1.5)
 
 
+def _weight_tail(s: float, z: complex) -> complex:
+    """K(s, z) = integral over (s, inf) of (nu^2 - z)^(-3/2) dnu.
+
+    It is (1 - t_s)/(-z) with t_s = s/r and r = sqrt(s^2 - z); writing
+    1 - t_s = (-z)/(r (r + s)) leaves 1/(r (r + s)), which a far window
+    does not cancel.
+    """
+    r = cmath.sqrt(s * s - z)
+    return 1.0 / (r * (r + s))
+
+
+# the Gauss-Legendre rule of _eta_tail away from its poles
+_TAIL_NODES = 24
+
+
+def _eta_tail(s: float, n: int, z: complex) -> complex:
+    """integral over (s, inf) of n^2/(nu^2 + n^2) (nu^2 - z)^(-3/2) dnu.
+
+    With w = -z, a = w - n^2 and u = 1 - tau, tau = nu/sqrt(nu^2 - z),
+    it is (n^2/w) times the integral over (0, delta) of p/(w - a p) du,
+    p = u (2 - u) and delta = 1 - t_s = w K(s, z).  Where the poles
+    u = 1 -+ i n/sqrt(a) lie more than four window widths from
+    [0, delta], a fixed Gauss-Legendre rule in u takes it, with no
+    cancellation at the removable point a = 0 or on a far window;
+    elsewhere the arctan form (n^2/(w a)) (w F - delta) does, with
+    F = arctan(n sqrt(a) delta/(w - a delta))/(n sqrt(a)) the integral of
+    1/(n^2 + a tau^2) over (t_s, 1).
+    """
+    w = -z
+    a = w - n * n
+    delta = w * _weight_tail(s, z)
+    far = a == 0.0
+    if not far:
+        root = cmath.sqrt(a)
+        # each pole's distance to its nearest point x delta, 0 <= x <= 1
+        far = all(
+            abs(pole - min(max((pole / delta).real, 0.0), 1.0) * delta) > 4.0 * abs(delta)
+            for pole in (1.0 - 1j * n / root, 1.0 + 1j * n / root)
+        )
+    if far:
+        x, weights = _legendre_rule(_TAIL_NODES)
+        u = 0.5 * delta * (x + 1.0)
+        p = u * (2.0 - u)
+        return n * n / w * 0.5 * delta * complex(np.sum(weights * p / (w - a * p)))
+    f = cmath.atan(n * root * delta / (w - a * delta)) / (n * root)
+    return n * n / (w * a) * (w * f - delta)
+
+
 def _half_weight_integral(curve: SSFCurve, z: complex) -> complex:
     """(1/2) * integral over R of xi_n(nu) (nu^2 - z)^(-3/2) dnu.
 
-    Trapezoid over the sampled window plus the closed-form eta tail by
-    adaptive quadrature; the neglected phase tail decays like nu^-5
-    after weighting.
+    Trapezoid over the sampled window plus the closed-form eta tail
+    (_eta_tail); the neglected phase tail decays like nu^-5 after
+    weighting.
     """
     n = curve.provenance.get("n")
     total = curve.provenance.get("total_integral", 0.0)
@@ -584,11 +624,7 @@ def _half_weight_integral(curve: SSFCurve, z: complex) -> complex:
     span = float(curve.grid[-1])
     tail = 0.0 + 0.0j
     if n is not None and total != 0.0:
-        tail = _quad_complex(
-            lambda v: complex(_eta_over_pi(total, n, v)) * complex(_resolvent_weight(v, z)),
-            span,
-            np.inf,
-        )
+        tail = total / (2.0 * math.pi) * _eta_tail(span, n, z)
     return 0.5 * (complex(interior) + 2.0 * tail)
 
 
@@ -676,7 +712,9 @@ def trace_identity_eq1(
     coverage problem.  rhs = (1/2) integral of xi_n(nu)
     (nu^2 - z)^(-3/2) dnu.  With synthetic_constant set, both sides run
     on the constant function instead of the determinant pipeline, where
-    the exact common value is c/(-z).
+    the exact common value is c/(-z).  The rhs is then c K(0, z)
+    (_weight_tail), exact by construction, so the synthetic line tests
+    the lhs: the cell weights and the arcsine rule.
     """
     _check_threads(threads)
     n = _check_mollifier_index(n)
@@ -686,7 +724,7 @@ def trace_identity_eq1(
     if synthetic_constant is not None:
         c = float(synthetic_constant)
         evaluator = lambda nu: np.full(np.shape(nu), c)
-        rhs = _quad_complex(lambda v: c * complex(_resolvent_weight(v, z)), 0.0, np.inf)
+        rhs = c * _weight_tail(0.0, z)
         params["synthetic_constant"] = c
     elif profile.l1_norm == 0.0:
         return TraceCheckReport(lhs=0j, rhs=0j, residual=0.0, params=params)

@@ -239,17 +239,38 @@ def test_verify_coarse_grid_fails_cleanly(tmp_path, profile_file, capsys):
     assert "verification FAILED" in out
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only where it is used (the banded Fourier oracle and
-    # the quadrature tails), so that a process pays nothing for it on import
-    code = (
-        "import sys, wittenlab, wittenlab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _run_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where it is used (the banded Fourier oracle's
+    # eigvals_banded), so that a process pays nothing for it on import
+    code = (
+        "import sys, wittenlab, wittenlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code) == "[]"
+
+
+def test_trace_checks_load_no_scipy_integrate():
+    # the trace checks take their tails in closed form, so they load neither
+    # scipy.integrate nor the scipy.optimize it would pull in
+    code = (
+        "import sys\n"
+        "from wittenlab import builtin_profile\n"
+        "from wittenlab.ssf import krein_check_trn, trace_identity_eq1\n"
+        "g = builtin_profile('gaussian', 1.0, 1.0)\n"
+        "krein_check_trn(g, 4, -1.0, N=200, nu_max=6.0, M=256)\n"
+        "trace_identity_eq1(g, 8, -1.0, N=200, nu_max=6.0)\n"
+        "trace_identity_eq1(g, 8, -1.0, synthetic_constant=0.375)\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    assert _run_python(code) == "[]"

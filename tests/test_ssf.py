@@ -453,12 +453,53 @@ def test_krein_check_rejects_halfline_z():
 
 
 def test_trace_identity_synthetic_constant():
-    for z in (-1.0, -2.5):
+    # the rhs is c K(0, z) by construction; the line tests the lam side
+    for z in (-1.0, -2.5, -1.0 + 0.5j, 0.5j):
         report = trace_identity_eq1(GAUSS, 8, z, synthetic_constant=0.375)
         exact = 0.375 / (-z)
         assert abs(report.lhs - exact) < 1e-10
         assert abs(report.rhs - exact) < 1e-10
         assert report.residual < 1e-10
+
+
+TAIL_SPANS = (0.5, 4.0, 12.0, 40.0)
+
+
+def _tails_to_infinity(mpmath, f):
+    """30-digit integrals of f over (s, inf), one per s in TAIL_SPANS.
+
+    The pieces between the spans are summed from the right; the last
+    one, over (40, inf), is taken through nu = 40/x on (0, 1).
+    """
+    last = TAIL_SPANS[-1]
+    total = mpmath.quad(lambda x: f(last / x) * last / x**2, [0, 1])
+    tails = [total]
+    for lo, hi in reversed(list(zip(TAIL_SPANS, TAIL_SPANS[1:]))):
+        total += mpmath.quad(f, [lo, hi])
+        tails.append(total)
+    return [complex(t) for t in reversed(tails)]
+
+
+def test_tail_integrals_match_a_30_digit_reference():
+    # far windows and z near the removable point -n^2 are where a plain
+    # arctan difference cancels
+    mpmath = pytest.importorskip("mpmath")
+    grid = {}
+    for n in (1, 2, 4, 8, 32, 128):
+        for z in (-1.0, -0.25, -4.0, -16.0, -1.0 + 0.5j, 1j, 2.0 + 1j, -n * n, -n * n * (1 + 1e-6)):
+            grid.setdefault(complex(z), []).append(n)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z, ns in grid.items():
+            zm = mpmath.mpc(z)
+            weight = lambda v: (v * v - zm) ** mpmath.mpf(-1.5)
+            for s, ref in zip(TAIL_SPANS, _tails_to_infinity(mpmath, weight)):
+                worst = max(worst, abs(ssf._weight_tail(s, z) - ref) / abs(ref))
+            for n in ns:
+                eta = lambda v: weight(v) * n * n / (v * v + n * n)
+                for s, ref in zip(TAIL_SPANS, _tails_to_infinity(mpmath, eta)):
+                    worst = max(worst, abs(ssf._eta_tail(s, n, z) - ref) / abs(ref))
+    assert worst <= 2e-12
 
 
 def test_trace_identity_zero_profile():
