@@ -23,9 +23,7 @@ from .kernels import (
     bs_kernel_mollified,
     eta_n_im,
     free_resolvent_kernel,
-    perturbed_resolvent_kernel,
     scattering_matrix,
-    wave_phase,
 )
 from .discretize import (
     BirmanSchwingerMatrix,
@@ -69,11 +67,9 @@ __all__ = [
     "c0",
     "SpectralPoint",
     "free_resolvent_kernel",
-    "perturbed_resolvent_kernel",
     "bs_kernel",
     "bs_kernel_mollified",
     "eta_n_im",
-    "wave_phase",
     "scattering_matrix",
     "QuadratureGrid",
     "BirmanSchwingerMatrix",

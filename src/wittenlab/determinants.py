@@ -14,7 +14,11 @@ It runs over a whole batch of decay rates and wave numbers at once, in
 the division-free lifted form of the elimination (Gohberg-Goldberg-
 Krupnik, ch. IX): three state numbers per matrix, rescaled by a power
 of two once per block of nodes, so a pivot through zero is carried
-rather than divided by.  The dense det2 remains its oracle.
+rather than divided by.  det2_semiseparable_bound runs the same sweep
+on a few chosen matrices and carries a first-order running error bound
+with it (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
+which vouches for a sweep in O(N); the dense det2 remains the oracle of
+the tests and the fallback where the bound is too loose.
 
 Phase unwrapping is anchored at the leftmost sweep point, where the
 determinant must already be close to 1, and swept upward with a
@@ -39,6 +43,7 @@ __all__ = [
     "det_complex",
     "det2",
     "det2_semiseparable",
+    "det2_semiseparable_bound",
     "hs_norm",
     "phase_curve",
 ]
@@ -162,33 +167,103 @@ def _rescale(state: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return ~((size > 0.0) & (size <= _HUGE))
 
 
-def _lifted_nodes(weights, steps, coef, state, exponent=None) -> None:
+def _lifted_nodes(weights, steps, coef, state, exponent=None, record=None) -> None:
     """Run the lifted recurrence over consecutive nodes, in place on state = (b, a_0, a_1).
 
     steps[j] holds the transitions after node j, so a block that ends
     at the last node has one step fewer than it has weights.  With an
-    exponent array given, the state is rescaled after every node.
+    exponent array given, the state is rescaled after every node.  With
+    a record array given, record[j] receives node j's products
+    (c_near b, c_osc a_0, c_far a_1) of the state it starts from.
     """
-    c_near, c_osc, c_far = coef
-    b, a0, a1 = state
+    b, a = state[0], state[1:]
     v = np.empty_like(b)
-    scratch = np.empty_like(b)
+    # (c_near b, c_osc a_0, c_far a_1); a_0 and a_1 take the same steps, as one array
+    products = np.empty_like(state)
+    last = len(steps)
     for j, weight in enumerate(weights):
-        np.multiply(c_near, b, out=v)
-        np.multiply(c_osc, a0, out=scratch)
-        v -= scratch
-        np.multiply(c_far, a1, out=scratch)
-        v += scratch
+        if record is not None:
+            products = record[j]
+        np.multiply(coef, state, out=products)
+        np.subtract(products[0], products[1], out=v)
+        v += products[2]
         v *= weight
         b += v
-        if j == len(steps):
+        if j == last:
             break
-        a0 += v
-        a0 *= steps[j, 0]
-        a1 += v
-        a1 *= steps[j, 1]
+        a += v
+        a *= steps[j]
         if exponent is not None:
             _rescale(state, exponent)
+
+
+def _sweep_inputs(weights, gaps, rates, waves):
+    """The sweep's arguments as arrays, checked for shape."""
+    u = np.asarray(weights, dtype=complex)
+    dx = np.asarray(gaps, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    waves = np.asarray(waves, dtype=float)
+    if u.ndim != 1 or dx.shape != (len(u) - 1,):
+        raise ValueError("need N weights and N - 1 gaps")
+    if rates.ndim != 1 or waves.ndim != 1:
+        raise ValueError("rates and waves must be 1-D")
+    return u, dx, rates, waves
+
+
+def _lifted_sweep(u, dx, rates, waves, coefficients, record=None):
+    """The lifted recurrence over all nodes, with the lanes' shape from rates x waves broadcast.
+
+    Returns (coef, state, exponent, redone, scale): the coefficients
+    materialized to the lanes' shape, the final state (b, a_0, a_1) in
+    units of 2^exponent, the lanes of a block swept again with the
+    per-node rescale, and scale (None without a record).  With a record
+    array (N, 3, *lanes) given, record[k] receives node k's products
+    (c_near b, c_osc a_0, c_far a_1) of the state it starts from, in
+    units of 2^scale[k]; a lane swept again keeps the record of its
+    first pass.
+    """
+    N = len(u)
+    shape = np.broadcast_shapes(rates.shape, waves.shape)
+    # materialized, because numpy multiplies equal-shape complex arrays
+    # faster than broadcast ones
+    coef = np.empty((3, *shape), dtype=complex)
+    for c, value in zip(coef, coefficients):
+        c[...] = value
+    state = np.zeros((3, *shape), dtype=complex)
+    state[0] = 1.0
+    start_state = np.empty_like(state)
+    exponent = np.zeros(shape, dtype=int)
+    redone = np.zeros(shape, dtype=bool)
+    scale = None if record is None else np.empty((N, *shape), dtype=int)
+    # steps[j] holds node j's transitions of a_0 and a_1, refilled for each block
+    steps = np.empty((_BLOCK, 2, *shape), dtype=complex)
+    for start in range(0, N, _BLOCK):
+        stop = min(start + _BLOCK, N)
+        block = dx[start:stop]
+        fall = np.exp(-np.multiply.outer(block, rates))
+        step = steps[: len(block)]
+        np.multiply(fall, _cis(np.multiply.outer(block, waves)), out=step[:, 0])
+        step[:, 1] = fall * fall
+        start_state[...] = state
+        if record is None:
+            _lifted_nodes(u[start:stop], step, coef, state)
+        else:
+            scale[start:stop] = exponent
+            _lifted_nodes(u[start:stop], step, coef, state, record=record[start:stop])
+        redo = _rescale(state, exponent)
+        if redo.any():
+            lanes = (slice(None), redo)
+            again, shift = start_state[lanes], exponent[redo]
+            _lifted_nodes(u[start:stop], step[:, :, redo], coef[lanes], again, shift)
+            state[lanes], exponent[redo] = again, shift
+            redone |= redo
+    return coef, state, exponent, redone, scale
+
+
+def _det2_from_state(u, coef, state, exponent):
+    """det2 = exp(log b + e ln 2 - c_near sum(u)) from the final lifted state."""
+    log_det = np.log(state[0]) + exponent * _LN2
+    return np.exp(log_det - coef[0] * np.sum(u))
 
 
 def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
@@ -218,45 +293,162 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
     added to the result; a block whose end state is not finite or is 0
     is swept again for those matrices alone, rescaled after every node.
     """
-    u = np.asarray(weights, dtype=complex)
-    dx = np.asarray(gaps, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    waves = np.asarray(waves, dtype=float)
-    if u.ndim != 1 or dx.shape != (len(u) - 1,):
-        raise ValueError("need N weights and N - 1 gaps")
-    if rates.ndim != 1 or waves.ndim != 1:
-        raise ValueError("rates and waves must be 1-D")
-    N = len(u)
-    shape = (len(rates), len(waves))
-    # materialized, because numpy multiplies equal-shape complex arrays
-    # faster than broadcast ones
-    coef = np.empty((3, *shape), dtype=complex)
-    for c, value in zip(coef, coefficients):
-        c[...] = value
-    state = np.zeros((3, *shape), dtype=complex)
-    state[0] = 1.0
-    start_state = np.empty_like(state)
-    exponent = np.zeros(shape, dtype=int)
-    # steps[j] holds node j's transitions of a_0 and a_1, refilled for each block
-    steps = np.empty((_BLOCK, 2, *shape), dtype=complex)
+    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for start in range(0, N, _BLOCK):
-            stop = min(start + _BLOCK, N)
-            block = dx[start:stop]
-            fall = np.exp(-np.multiply.outer(block, rates))[:, :, None]
-            step = steps[: len(block)]
-            np.multiply(fall, _cis(np.multiply.outer(block, waves))[:, None, :], out=step[:, 0])
-            step[:, 1] = fall * fall
-            start_state[...] = state
-            _lifted_nodes(u[start:stop], step, coef, state)
-            redo = _rescale(state, exponent)
-            if redo.any():
-                lanes = (slice(None), redo)
-                again, shift = start_state[lanes], exponent[redo]
-                _lifted_nodes(u[start:stop], step[:, :, redo], coef[lanes], again, shift)
-                state[lanes], exponent[redo] = again, shift
-        log_det = np.log(state[0]) + exponent * _LN2
-        return np.exp(log_det - coef[0] * np.sum(u))
+        coef, state, exponent, _, _ = _lifted_sweep(
+            u, dx, rates[:, None], waves[None, :], coefficients
+        )
+        return _det2_from_state(u, coef, state, exponent)
+
+
+def det2_semiseparable_bound(weights, gaps, rates, waves, coefficients) -> tuple:
+    """det2_semiseparable at paired lanes, with a running error bound on each value.
+
+    The matrices are those of det2_semiseparable at (rates[s], waves[s])
+    for each s, with coefficients broadcast to (S,): the same sweep on S
+    lanes rather than S x P, which records the products each node forms
+    from the state it starts from.  Returns (values, bound), both of shape (S,): bound is the
+    first-order bound of _running_error_bound on
+    |value - exact| / |exact|, exact being det2(I + T) on the given nodes,
+    with the weights and coefficients allowed their own input rounding;
+    it is inf where the sweep of a lane needed the per-node rescale or
+    the bound is not finite.
+    """
+    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
+    if rates.shape != waves.shape:
+        raise ValueError("need one wave per rate")
+    record = np.empty((len(u), 3, len(rates)), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        coef, state, exponent, redone, scale = _lifted_sweep(
+            u, dx, rates, waves, coefficients, record
+        )
+        values = _det2_from_state(u, coef, state, exponent)
+        scale -= exponent
+        bound = _running_error_bound(u, dx, rates, waves, coef, record, scale, state[0], exponent)
+    bound[redone | ~np.isfinite(bound)] = np.inf
+    return values, bound
+
+
+# Unit roundoff, and the first-order error constants of _running_error_bound.
+_UNIT = 2.0**-53
+# |fl(x y) - x y| <= sqrt(2) gamma_2 |x| |y| for complex x, y (Higham, Lemma 3.5)
+_CMUL = 2.0 * math.sqrt(2.0) * _UNIT
+# exp, cos, sin and the complex log and exp within 4 ulps, each ulp at most 2 u
+_ELEM = 8.0 * _UNIT
+# the weights (one product) and the mollifier coefficients (a complex quotient)
+# as rounded on input
+_INPUT = 9.0 * _UNIT
+
+
+def _running_error_bound(u, dx, rates, waves, coef, record, shift, b, exponent):
+    """First-order bound on the relative error of the lifted sweep's det2, per matrix.
+
+    The sweep's error delta = (db, da_0, da_1) in the state obeys, to
+    first order, delta_(k+1) = M_k delta_k + l_k, where M_k is the exact
+    3 x 3 step of node k,
+
+        [ 1 + u c_near      -u c_osc           u c_far          ]
+        [ t_0 u c_near      t_0 (1 - u c_osc)  t_0 u c_far      ]
+        [ t_1 u c_near      -t_1 u c_osc       t_1 (1 + u c_far) ]
+
+    (u = weights_k, t_0 = e^((i w - n) dx_k), t_1 = e^(-2 n dx_k)), and
+    l_k is the rounding committed at node k.  So |delta_N| <= e_N with
+    e_(k+1) = |M_k| e_k + |l_k| componentwise, e_0 = 0 (the start state
+    (1, 0, 0) is exact).  With s = |c_near b| + |c_osc a_0| + |c_far a_1|
+    from the recorded products, |V| <= |u| s and the local terms are:
+
+      - V: three products c x state and one by u (_CMUL each, on at most
+        |u| s), two additions (u each), and the input rounding of u and
+        of the coefficients (_INPUT): |l_V| <= (2 _CMUL + 2 u + _INPUT) |u| s;
+      - b + V: |l_b| <= |l_V| + u (|b| + |u| s);
+      - a_c: |l_c| <= |t_c| (|l_V| + (u + _CMUL + tau_c) (|a_c| + |u| s)),
+        the addition, the product with t_c, and the transition's own
+        relative error tau_c:
+          tau_0 = 2 _ELEM + _CMUL + 2 u (n + |w|) dx   (exp and cos/sin, whose
+                  arguments carry the rounding of dx and of one product, and
+                  the product e^(-n dx) e^(i w dx)),
+          tau_1 = 2 _ELEM + u + 4 u n dx                (e^(-n dx) squared).
+
+    The affine recurrence in e is composed over the nodes as a balanced
+    product of the maps e -> |M_k| e + |l_k|, vectorized over nodes and
+    matrices.  The state's moduli are those of the recorded products over
+    the coefficients'; an a_c with c = 0 never reaches b, so its size does
+    not matter, and a matrix with c_near = 0 gets no bound.  The rescales
+    are exact powers of two, so record[k], in units of 2^shift[k] of the
+    final state, is scaled to the final units first.  The final det2 = exp(log b + e ln 2 - c_near sum(u)) adds,
+    as absolute errors in the exponent: the complex log,
+    _ELEM (|log b| + 1); e fl(ln 2), 2 u |e| ln 2; the sum of the N
+    weights, (N - 1) u sum|u| times |c_near|, and its product with
+    c_near, _CMUL |c_near sum(u)|; the two additions, u times each sum;
+    and the complex exp's own relative error, 2 _ELEM + u.
+    """
+    N = len(u)
+    # (3, N, S): the products' and the state's moduli, and u c_near, u c_osc, u c_far
+    products = np.abs(record).transpose(1, 0, 2)
+    reach = np.abs(coef)[:, None, :]
+    moduli = np.divide(products, reach, out=np.zeros_like(products), where=reach > 0.0)
+    moduli[0] = products[0] / reach[0]
+    uc = coef[:, None, :] * u[None, :, None]
+    v = np.abs(u)[:, None] * products.sum(axis=0)
+    l_v = (2.0 * _CMUL + 2.0 * _UNIT + _INPUT) * v
+    # the last node updates b alone: its transitions, and so its a-rows, are 0
+    n_dx = np.zeros((N, len(rates)))
+    n_dx[:-1] = np.multiply.outer(dx, rates)
+    w_dx = np.zeros_like(n_dx)
+    w_dx[:-1] = np.multiply.outer(dx, np.abs(waves))
+    t0 = np.exp(-n_dx)
+    t0[-1] = 0.0
+    t1 = t0 * t0
+    tau0 = 2.0 * _ELEM + _CMUL + 2.0 * _UNIT * (n_dx + w_dx)
+    tau1 = 2.0 * _ELEM + _UNIT + 4.0 * _UNIT * n_dx
+    local = np.empty((3, N, len(rates)))
+    local[0] = l_v + _UNIT * (moduli[0] + v)
+    local[1] = t0 * (l_v + (_UNIT + _CMUL + tau0) * (moduli[1] + v))
+    local[2] = t1 * (l_v + (_UNIT + _CMUL + tau1) * (moduli[2] + v))
+    local *= np.ldexp(1.0, shift)
+    # step[i, j] is the (i, j) entry of |M_k|, over (N, S)
+    step = np.empty((3, 3, N, len(rates)))
+    step[...] = np.abs(uc)
+    for row, sign in enumerate((1.0, -1.0, 1.0)):
+        step[row, row] = np.abs(uc[row] + sign)
+    step[1] *= t0
+    step[2] *= t1
+    error_b = _compose_affine(step, local)[0]
+    log_b = np.log(b)
+    log_det = log_b + exponent * _LN2
+    near_sum = coef[0] * np.sum(u)
+    total = log_det - near_sum
+    final = (
+        _ELEM * (np.abs(log_b) + 1.0)
+        + 2.0 * _UNIT * np.abs(exponent) * _LN2
+        + (N - 1) * _UNIT * reach[0, 0] * np.sum(np.abs(u))
+        + _CMUL * np.abs(near_sum)
+        + _UNIT * (np.abs(log_det) + np.abs(total))
+        + 2.0 * _ELEM
+        + _UNIT
+    )
+    return error_b / np.abs(b) + final
+
+
+def _compose_affine(maps, shifts):
+    """e_K of e_(k+1) = maps[k] e_k + shifts[k] from e_0 = 0, by a balanced product.
+
+    maps[i, j] is (K, ...), the (i, j) entries of the K maps, and
+    shifts[i] is (K, ...); each round composes the maps pairwise, later
+    after earlier, so K maps take log2(K) rounds of array operations
+    rather than K steps.  Returns e_K, shape (3, ...).
+    """
+    while maps.shape[2] > 1:
+        K = maps.shape[2]
+        early, late = slice(0, K - K % 2, 2), slice(1, K, 2)
+        later = maps[:, :, late]
+        composed_shifts = (later * shifts[None, :, early]).sum(axis=1) + shifts[:, late]
+        composed = (later[:, :, None] * maps[None, :, :, early]).sum(axis=1)
+        if K % 2:
+            composed = np.concatenate((composed, maps[:, :, -1:]), axis=2)
+            composed_shifts = np.concatenate((composed_shifts, shifts[:, -1:]), axis=1)
+        maps, shifts = composed, composed_shifts
+    return shifts[:, 0]
 
 
 def hs_norm(T: np.ndarray) -> float:

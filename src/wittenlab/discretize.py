@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .determinants import RefinementNeededError, det2_semiseparable
+from .determinants import RefinementNeededError, det2_semiseparable, det2_semiseparable_bound
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
@@ -41,6 +41,7 @@ __all__ = [
     "bs_matrix",
     "MollifiedBSFamily",
     "det2_sweep",
+    "det2_certificate",
     "fourier_pair",
     "trace_band",
     "trace_gz_diff",
@@ -223,9 +224,11 @@ class MollifiedBSFamily:
     and S = diag(sgn phi), the lower side's is S T^H S (T^H where phi
     keeps one sign), so its det2 is the complex conjugate.  A family holds one
     profile on one grid; det2_sweep eliminates that structure for a
-    whole schedule of n at once, in O(N) per point and n.  matrix(n, nu)
-    assembles one dense matrix, the package's only dense view of the
-    mollified kernel and the oracle of the structured path.  It agrees
+    whole schedule of n at once, in O(N) per point and n, and
+    det2_certificate bounds its rounding error.  matrix(n, nu) assembles
+    one dense matrix, the package's only dense view of the mollified
+    kernel: the oracle of the structured path in the tests, and its
+    spot check where the certificate's bound is too loose.  It agrees
     with assemble() over kernels.bs_kernel_mollified to rounding.
     """
 
@@ -304,6 +307,27 @@ def det2_sweep(
         rates,
         nu,
         _mollified_coefficients(rates[:, None], nu, 1.0),
+    )
+
+
+def det2_certificate(
+    family: MollifiedBSFamily, schedule: Sequence[int], nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """det2 of family.matrix(schedule[s], nu[s]) for each s, with a running error bound on each.
+
+    The paired counterpart of det2_sweep: the same lifted sweep, run on
+    one (n, nu) per entry of the schedule, also returns
+    det2_semiseparable_bound's first-order bound on the relative error
+    of each value.
+    """
+    nu = np.asarray(nu, dtype=float)
+    rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
+    return det2_semiseparable_bound(
+        family._row * family._col,
+        np.diff(family.grid.nodes),
+        rates,
+        nu,
+        _mollified_coefficients(rates, nu, 1.0),
     )
 
 

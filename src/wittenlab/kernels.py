@@ -3,7 +3,8 @@
 All operators in play are integral operators on L2(R) whose kernels are
 elementary: the free resolvent of A_- = -i d/dx is a one-sided complex
 exponential, the perturbed resolvent differs from it by the unimodular
-phase exp(-i*(Phi(x)-Phi(x'))), and the Birman-Schwinger (BS) operator
+phase exp(-i*(Phi(x)-Phi(x'))) (no computation needs that kernel, so
+none is provided), and the Birman-Schwinger (BS) operator
 sandwiches the free resolvent between sgn(phi)|phi|^(1/2) and
 |phi|^(1/2).  The mollified BS kernel (the resolvent composed with the
 squared mollifier chi_n(A_-)^2, whose kernel is (n/2)exp(-n|x-x'|))
@@ -33,11 +34,9 @@ from .profiles import PotentialProfile, _check_mollifier_index
 __all__ = [
     "SpectralPoint",
     "free_resolvent_kernel",
-    "perturbed_resolvent_kernel",
     "bs_kernel",
     "bs_kernel_mollified",
     "eta_n_im",
-    "wave_phase",
     "scattering_matrix",
 ]
 
@@ -113,19 +112,6 @@ def free_resolvent_kernel(point: SpectralPoint, x, xp):
     return val if np.ndim(val) else complex(val)
 
 
-def perturbed_resolvent_kernel(profile: PotentialProfile, point: SpectralPoint, x, xp):
-    """Kernel of (A_+ - z)^(-1): the free kernel times a unimodular phase.
-
-    The phase is exp(-i*(Phi(x) - Phi(x'))) with Phi the exact
-    antiderivative of phi, so the modulus equals the free kernel's.
-    """
-    phase = np.exp(
-        -1j * (profile.antiderivative(x) - profile.antiderivative(xp))
-    )
-    val = free_resolvent_kernel(point, x, xp) * phase
-    return val if np.ndim(val) else complex(val)
-
-
 def bs_kernel(profile: PotentialProfile, point: SpectralPoint, x, xp):
     """Birman-Schwinger kernel sgn(phi)|phi|^(1/2) (A_- - z)^(-1) |phi|^(1/2).
 
@@ -198,23 +184,11 @@ def _eta(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
     return 0.5 * n * n / (nu**2 + n * n) * total_integral
 
 
-def wave_phase(profile: PotentialProfile, sign: int, x) -> np.ndarray | complex:
-    """The multiplicative wave-operator phase exp(i*(Phi(+-inf) - Phi(x))).
-
-    sign +1 gives the outgoing operator, -1 the incoming one; both are
-    unimodular multiplication operators for real phi.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    limit = float(profile.antiderivative(np.inf if sign > 0 else -np.inf))
-    val = np.exp(1j * (limit - np.asarray(profile.antiderivative(x))))
-    return val if np.ndim(val) else complex(val)
-
-
 def scattering_matrix(profile: PotentialProfile) -> complex:
     """The (constant, unimodular) scattering matrix exp(-i*integral(phi)).
 
-    Conjugating the two wave phases cancels the x-dependence, leaving a
+    The wave operators multiply by the phases exp(i*(Phi(+-inf) - Phi(x)));
+    conjugating one by the other cancels the x-dependence, leaving a
     single unimodular constant; its argument encodes the same number as
     the spectral shift constant, which is the content of the
     Birman-Krein identity tested in the acceptance suite.

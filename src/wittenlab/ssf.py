@@ -26,11 +26,14 @@ nu-integral of the 1-D curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
-structured elimination, O(N) per point (det2_sweep), then, for each n
-in turn, checks the point of smallest |det2| against the dense LU det2
-of the assembled matrix before the phase is tracked.  The checks of one
-call share one N x N buffer, allocated once the elimination is done:
-each assembles its matrix there and factors it in place.
+structured elimination, O(N) per point (det2_sweep).  Each n's value at
+its point of smallest |det2| is then vouched for by a second O(N) sweep
+at those points alone, which carries a running error bound
+(det2_certificate).  Where the bound is too loose to vouch, that n falls
+back to the dense LU det2 of the assembled matrix, before its phase is
+tracked.  The fallbacks of one call share one N x N buffer, allocated at
+the first of them: each assembles its matrix there and factors it in
+place.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .discretize import (
     _legendre_rule,
     _require_off_halfline,
     build_grid,
+    det2_certificate,
     det2_sweep,
     ensure_oscillation_resolved,
     fourier_pair,
@@ -163,31 +167,45 @@ def _check_threads(threads: Optional[int]) -> None:
 _SPOT_CHECK_TOL = 1e-9
 
 
+def _vouched(
+    family: MollifiedBSFamily, schedule: tuple, nu: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Which of the sweep's values at (schedule[s], nu[s]) the O(N) certificate vouches for.
+
+    det2_certificate sweeps again at these points alone, carrying a
+    first-order running error bound: with its value r and relative bound
+    e, the exact det2 d lies within e |r| of r, so the sweep's value v
+    lies within |v - r| + e |r| of d.  Where that is within
+    _SPOT_CHECK_TOL (1 + |r|), the margin the dense check allows, v is
+    vouched for without it.  A non-finite rerun or bound vouches for
+    nothing, and a NaN in v fails the comparison.
+    """
+    rerun, bound = det2_certificate(family, schedule, nu)
+    size = np.abs(rerun)
+    with np.errstate(invalid="ignore"):
+        within = np.abs(values - rerun) + bound * size <= _SPOT_CHECK_TOL * (1.0 + size)
+    return within & np.isfinite(rerun) & np.isfinite(bound)
+
+
 def _spot_check(
     family: MollifiedBSFamily,
     n: int,
-    nu_grid: np.ndarray,
-    values: np.ndarray,
+    nu: float,
+    value: complex,
     workspace: np.ndarray,
 ) -> None:
-    """Hold the structured sweep at index n to the dense LU det2 at one point.
+    """Hold the structured sweep's value at (n, nu) to the dense LU det2 there.
 
-    The check runs where |det2| is smallest, where the elimination
-    without pivoting is least well conditioned, or at the first NaN,
-    which argmin returns first (the lifted sweep divides by no pivot;
-    it gives a NaN only where one node's step leaves double range, or
-    on non-finite input); a disagreement beyond
-    _SPOT_CHECK_TOL * (1 + |dense|) is refused with that point named.
+    The fallback of the certificate: a disagreement beyond
+    _SPOT_CHECK_TOL * (1 + |dense|) is refused with the point named.
     The matrix is assembled in workspace, a complex N x N buffer, and
     det2 shifts its diagonal there, so checks sharing it allocate no
     N x N array of their own.
     """
-    k = int(np.argmin(np.abs(values)))
-    nu = float(nu_grid[k])
     dense = det2(family.matrix(n, nu, out=workspace).entries, overwrite=True)
-    if not abs(values[k] - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense)):
+    if not abs(value - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense)):
         raise RefinementNeededError(
-            f"structured det2 {values[k]:.6g} disagrees with the dense det2 "
+            f"structured det2 {value:.6g} disagrees with the dense det2 "
             f"{dense:.6g} at nu = {nu:g}",
             interval=(nu, nu),
         )
@@ -225,9 +243,11 @@ def ssf_mollified(
     oscillations) propagate as refinement errors rather than being
     papered over.  An int n returns one curve; a sequence of n returns a
     tuple of curves, one per n, from one elimination over the whole
-    schedule, each bitwise equal to the curve of its n alone.  The
-    spot check and the phase tracking run per n in schedule order, so
-    the error raised is the one a loop over n would raise first.
+    schedule, each bitwise equal to the curve of its n alone.  One
+    certificate run vouches for the sweep of every n at once
+    (_vouched); the dense spot check of an n it does not vouch for and
+    the phase tracking run per n in schedule order, so the error raised
+    is the one a loop over n would raise first.
     """
     _check_threads(threads)
     single = np.ndim(n) == 0
@@ -250,12 +270,20 @@ def ssf_mollified(
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, grid)
     sweep = det2_sweep(family, schedule, nu)
-    # allocated after the elimination, whose working memory is freed by now
-    workspace = np.empty((grid.N, grid.N), dtype=complex)
+    # each n is checked where |det2| is smallest, where the elimination
+    # without pivoting is least well conditioned, or at its first NaN,
+    # which argmin returns first
+    points = np.argmin(np.abs(sweep), axis=1)
+    checked = sweep[np.arange(len(schedule)), points]
+    vouched = _vouched(family, schedule, nu[points], checked)
+    workspace = None
     curves = []
     try:
-        for m, values in zip(schedule, sweep):
-            _spot_check(family, m, nu, values, workspace)
+        for m, values, k, value, ok in zip(schedule, sweep, points, checked, vouched):
+            if not ok:
+                if workspace is None:
+                    workspace = np.empty((grid.N, grid.N), dtype=complex)
+                _spot_check(family, m, float(nu[k]), value, workspace)
             pc = phase_curve(nu, values)
             xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
             curves.append(

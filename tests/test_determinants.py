@@ -36,7 +36,8 @@ from wittenlab import (
     phase_curve,
 )
 
-from wittenlab.discretize import MollifiedBSFamily, det2_sweep
+from wittenlab.determinants import det2_semiseparable_bound
+from wittenlab.discretize import MollifiedBSFamily, det2_certificate, det2_sweep
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 
@@ -303,6 +304,46 @@ def test_structured_det2_matches_dense(N, side):
         structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu)[0]
         dense = _dense_det2(profile, n, grid, nu, side)
         assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
+
+
+@pytest.mark.parametrize("N", (64, 400))
+def test_certificate_bounds_the_error_against_dense(N):
+    # the pairs and points of test_structured_det2_matches_dense
+    stride = {64: 1, 400: 7}[N]
+    nu = np.array([-12.0, 0.5, 6.0])
+    worst = 0.0
+    for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
+        profile = builtin_profile(kind, sign, width)
+        family = MollifiedBSFamily(profile, build_grid(profile, N))
+        values, bound = det2_certificate(family, [n] * len(nu), nu)
+        assert np.array_equal(values, det2_sweep(family, [n], nu)[0])
+        dense = _dense_det2(profile, n, family.grid, nu, "upper")
+        error = np.abs(values - dense) / np.abs(dense)
+        assert np.all(error <= bound), f"{kind}({sign},{width}) n={n}"
+        worst = max(worst, float(np.max(bound)))
+    # a bound, not a bare pass: tight enough to vouch at 1e-9
+    assert worst < 1e-9
+
+
+def test_certificate_bound_is_finite_through_a_zero_pivot_and_inf_past_double_range():
+    # a zero pivot on a block boundary is carried like any other node
+    N = 48
+    weights = np.zeros(N, dtype=complex)
+    weights[31] = -1.0
+    weights[32:] = 0.3 - 0.1j
+    gaps = np.full(N - 1, 0.5)
+    values, bound = det2_semiseparable_bound(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
+    dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.7, (1.0, 0.4, 0.2)))
+    assert abs(values[0] - dense) <= bound[0] * abs(dense) and bound[0] < 1e-12
+    # blocks whose pivot products leave double range are swept again node by
+    # node; the bound does not follow that rescue, and vouches for nothing
+    weights = np.concatenate(
+        (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
+    )
+    args = (weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
+    values, bound = det2_semiseparable_bound(*args)
+    assert values[0] == det2_semiseparable(*args)[0, 0]
+    assert bound[0] == np.inf
 
 
 @pytest.mark.parametrize("side", ("upper", "lower"))

@@ -5,8 +5,8 @@ The mollified kernel is the one nontrivial closed form in the package
 exponential), so it gets the heaviest treatment: twenty random
 parameter tuples, both boundary sides, compared against adaptive
 quadrature of the defining convolution integral to 1e-10.  The free
-and perturbed resolvents are checked through the first resolvent
-identity, whose convolution collapses to a finite interval.
+resolvent is checked through the first resolvent identity, whose
+convolution collapses to a finite interval.
 """
 
 import cmath
@@ -25,9 +25,7 @@ from wittenlab import (
     c0,
     eta_n_im,
     free_resolvent_kernel,
-    perturbed_resolvent_kernel,
     scattering_matrix,
-    wave_phase,
 )
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
@@ -83,33 +81,6 @@ def test_free_resolvent_first_resolvent_identity():
     )
     direct = (
         free_resolvent_kernel(pz, x, xp) - free_resolvent_kernel(pw, x, xp)
-    ) / (z - w)
-    assert_allclose(conv, direct, atol=1e-12)
-
-
-def test_perturbed_resolvent_phase_and_identity():
-    point = SpectralPoint.off_axis(1j)
-    x, xp = 1.0, 0.0
-    expected = free_resolvent_kernel(point, x, xp) * cmath.exp(
-        -1j * (math.sqrt(math.pi) / 2.0) * math.erf(1.0)
-    )
-    assert_allclose(perturbed_resolvent_kernel(GAUSS, point, x, xp), expected, rtol=1e-14)
-    # same modulus as the free kernel everywhere
-    xs = np.linspace(-2, 2, 9)
-    per = perturbed_resolvent_kernel(GAUSS, point, xs[:, None], xs[None, :])
-    free = free_resolvent_kernel(point, xs[:, None], xs[None, :])
-    assert_allclose(np.abs(per), np.abs(free), atol=1e-15)
-    # first resolvent identity survives the conjugation by the phase
-    z, w = 1j, 0.5 + 2j
-    pz, pw = SpectralPoint.off_axis(z), SpectralPoint.off_axis(w)
-    conv = quad_complex(
-        lambda u: perturbed_resolvent_kernel(GAUSS, pz, 1.3, u)
-        * perturbed_resolvent_kernel(GAUSS, pw, u, -0.9),
-        -0.9, 1.3, limit=200,
-    )
-    direct = (
-        perturbed_resolvent_kernel(GAUSS, pz, 1.3, -0.9)
-        - perturbed_resolvent_kernel(GAUSS, pw, 1.3, -0.9)
     ) / (z - w)
     assert_allclose(conv, direct, atol=1e-12)
 
@@ -207,18 +178,6 @@ def test_eta_values():
     assert_allclose(vals[0], vals[2], rtol=1e-15)  # even in nu
     with pytest.raises(ValueError):
         eta_n_im(GAUSS, 0, 1.0)
-
-
-def test_wave_phase_unimodular_and_intertwines():
-    xs = np.linspace(-3.0, 3.0, 11)
-    outgoing = wave_phase(GAUSS, 1, xs)
-    incoming = wave_phase(GAUSS, -1, xs)
-    assert_allclose(np.abs(outgoing), 1.0, atol=1e-15)
-    # the two phases differ by the constant scattering factor at every x
-    ratio = outgoing * np.conj(incoming)
-    assert_allclose(ratio, np.conj(scattering_matrix(GAUSS)) * np.ones_like(ratio), rtol=1e-14)
-    with pytest.raises(ValueError):
-        wave_phase(GAUSS, 0, 0.0)
 
 
 def test_scattering_matrix_values():

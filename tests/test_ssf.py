@@ -99,7 +99,7 @@ def test_threads_validated_before_early_returns():
         trace_identity_eq1(GAUSS, 8, -1.0, synthetic_constant=0.375, threads=0)
 
 
-def test_sweep_spot_checks_one_dense_det2(monkeypatch):
+def _count_dense_det2(monkeypatch):
     dense_calls = []
 
     def counted(T, **kwargs):
@@ -107,13 +107,79 @@ def test_sweep_spot_checks_one_dense_det2(monkeypatch):
         return det2(T, **kwargs)
 
     monkeypatch.setattr(ssf, "det2", counted)
+    return dense_calls
+
+
+def _record_bounds(monkeypatch):
+    bounds = []
+
+    def recorded(family, schedule, nu):
+        values, bound = certificate(family, schedule, nu)
+        bounds.extend(bound)
+        return values, bound
+
+    certificate = ssf.det2_certificate
+    monkeypatch.setattr(ssf, "det2_certificate", recorded)
+    return bounds
+
+
+def _force_fallback(monkeypatch):
+    # every bound inf: the certificate vouches for no n
+    def unvouched(family, schedule, nu):
+        values, bound = certificate(family, schedule, nu)
+        return values, np.full_like(bound, np.inf)
+
+    certificate = ssf.det2_certificate
+    monkeypatch.setattr(ssf, "det2_certificate", unvouched)
+
+
+def test_sweep_spot_check_falls_back_to_one_dense_det2(monkeypatch):
+    dense_calls = _count_dense_det2(monkeypatch)
+    small_curve(n=(2, 4, 8))
+    # the certificate vouches for every n: no dense matrix is built
+    assert dense_calls == []
+    _force_fallback(monkeypatch)
     small_curve(n=2)
     assert [T.shape for T in dense_calls] == [(300, 300)]
-    # a schedule checks each n once, in one N x N buffer
+    # a schedule falls back to one dense det2 per n, in one N x N buffer
     dense_calls.clear()
     small_curve(n=(2, 4, 8))
     assert [T.shape for T in dense_calls] == [(300, 300)] * 3
     assert all(np.shares_memory(dense_calls[0], T) for T in dense_calls[1:])
+
+
+def test_certificate_vouches_on_the_default_workloads(monkeypatch):
+    dense_calls = _count_dense_det2(monkeypatch)
+    bounds = _record_bounds(monkeypatch)
+    witten_index(GAUSS)
+    assert len(bounds) == 5
+    nu = np.linspace(-12.0, 12.0, 401)
+    for kind, amplitude, width in (("gaussian", 1.0, 1.0), ("sech2", 2.0, 0.25), ("bump", 2.0, 1.0)):
+        for sign in (1.0, -1.0):
+            ssf_mollified(builtin_profile(kind, sign * amplitude, width), 16, nu, 400)
+    assert len(bounds) == 11
+    assert max(bounds) <= 1e-9
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize("amplitude, nu_max, tolerance", ((24.0, 8.0, None), (8.0, 12.0, 1e-14)))
+def test_certificate_over_the_tolerance_falls_back(monkeypatch, amplitude, nu_max, tolerance):
+    # gaussian(24, 1)'s bound at n = 2 is about 6e-6, loose by 1e9 against
+    # its actual error.  gaussian(8, 1)'s, at |det2| = 0.023, is about 1e-11
+    # and vouches at 1e-9; at 1e-14 it does not, while the dense det2, 4e-16
+    # from the sweep there, still passes
+    if tolerance is not None:
+        monkeypatch.setattr(ssf, "_SPOT_CHECK_TOL", tolerance)
+    dense_calls = _count_dense_det2(monkeypatch)
+    bounds = _record_bounds(monkeypatch)
+    profile = builtin_profile("gaussian", amplitude, 1.0)
+    try:
+        ssf_mollified(profile, 2, np.linspace(-nu_max, nu_max, 401), 400)
+    except RefinementNeededError as err:
+        # the dense check passed; the phase tracking may still refuse
+        assert "disagrees" not in str(err)
+    assert len(bounds) == 1 and bounds[0] > ssf._SPOT_CHECK_TOL
+    assert [T.shape for T in dense_calls] == [(400, 400)]
 
 
 def test_refused_sweep_releases_its_workspace(monkeypatch):
@@ -121,6 +187,8 @@ def test_refused_sweep_releases_its_workspace(monkeypatch):
         raise RefinementNeededError("refused")
 
     monkeypatch.setattr(ssf, "phase_curve", refuse)
+    # the dense fallback allocates the workspace before the refusal
+    _force_fallback(monkeypatch)
     with pytest.raises(RefinementNeededError) as err:
         small_curve(n=(2, 4))
     # the frames a caught refusal keeps alive hold no N x N array
@@ -138,10 +206,12 @@ def test_refused_sweep_releases_its_workspace(monkeypatch):
     (((2, 4, 8, 16, 32), 400, 401), (4, 800, 801)),
 )
 def test_ssf_mollified_peak_allocation(traced_peak, schedule, N, points):
-    # the elimination's working memory, then one N x N workspace for every spot check
+    # the elimination's working memory alone: the certificate vouches for
+    # every n, so no N x N array is built.  At N = 800 that stays below one
+    # N x N array; at N = 400 the schedule's transitions, 2 MB, are of its size
     nu = np.linspace(-12.0, 12.0, points)
     peak, _ = traced_peak(lambda: ssf_mollified(GAUSS, schedule, nu, N))
-    assert peak <= 2.0 * N * N * 16
+    assert peak < {400: 2, 800: 1}[N] * N * N * 16
 
 
 @pytest.mark.parametrize("corruption", ("perturbed", "nan"))
