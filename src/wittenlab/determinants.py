@@ -14,11 +14,14 @@ It runs over a whole batch of decay rates and wave numbers at once, in
 the division-free lifted form of the elimination (Gohberg-Goldberg-
 Krupnik, ch. IX): three state numbers per matrix, rescaled by a power
 of two once per block of nodes, so a pivot through zero is carried
-rather than divided by.  det2_semiseparable_bound runs the same sweep
-on a few chosen matrices and carries a first-order running error bound
-with it (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
-which vouches for a sweep in O(N); the dense det2 remains the oracle of
-the tests and the fallback where the bound is too loose.
+rather than divided by.  The sweep keeps the state each block starts
+from.  det2_semiseparable_bound replays the blocks of a few chosen
+matrices from those checkpoints, all blocks at once, checks that each
+ends bit for bit where the next starts, and carries a first-order
+running error bound on the record (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3).  That vouches for a sweep in O(N) work
+and one block's worth of sequential steps; the dense det2 remains the
+oracle of the tests and the fallback where the bound is too loose.
 
 Phase unwrapping is anchored at the leftmost sweep point, where the
 determinant must already be close to 1, and swept upward with a
@@ -40,10 +43,12 @@ __all__ = [
     "RefinementNeededError",
     "NearSingularError",
     "PhaseCurve",
+    "SemiseparableSweep",
     "det_complex",
     "det2",
     "det2_semiseparable",
     "det2_semiseparable_bound",
+    "semiseparable_sweep",
     "hs_norm",
     "phase_curve",
 ]
@@ -133,6 +138,10 @@ def det2(T: np.ndarray, overwrite: bool = False) -> complex:
 
 # Nodes swept between two rescales of the lifted state.
 _BLOCK = 32
+# Complex entries of a_0 transitions that a sweep holds at once (512 kB).  With
+# more lanes than _TRANSITION_ENTRIES / _BLOCK, each block's transitions are
+# computed for shorter runs of nodes, which leaves room for the block checkpoints.
+_TRANSITION_ENTRIES = 1 << 15
 _HUGE = np.finfo(float).max
 _LN2 = math.log(2.0)
 
@@ -167,20 +176,39 @@ def _rescale(state: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return ~((size > 0.0) & (size <= _HUGE))
 
 
+def _transitions(dx, rates, waves, out=None):
+    """Each node's transitions (e^((i w - n) dx), e^(-2 n dx)) on the lanes rates x waves broadcast.
+
+    Every entry is computed by the same elementwise operations whatever
+    the lanes' shape, so a sweep, the redo of some of its lanes and the
+    replay of its blocks take the same digits.  out receives the
+    complex transitions of a_0; a_1's are real and depend on the rate alone.
+    """
+    fall = np.exp(-np.multiply.outer(dx, rates))
+    wave = np.multiply(fall, _cis(np.multiply.outer(dx, waves)), out=out)
+    return wave, fall * fall
+
+
 def _lifted_nodes(weights, steps, coef, state, exponent=None, record=None) -> None:
     """Run the lifted recurrence over consecutive nodes, in place on state = (b, a_0, a_1).
 
-    steps[j] holds the transitions after node j, so a block that ends
-    at the last node has one step fewer than it has weights.  With an
-    exponent array given, the state is rescaled after every node.  With
-    a record array given, record[j] receives node j's products
-    (c_near b, c_osc a_0, c_far a_1) of the state it starts from.
+    steps = (waves, decays) holds the transitions after each node:
+    waves[j] multiplies a_0 and is complex over the lanes, decays[j]
+    multiplies a_1 and is real, broadcast against the lanes.  A block
+    that ends at the last node has one step fewer than it has weights.
+    weights[j] is a number, or an array broadcast against the lanes.
+    With an exponent array given, the state is rescaled after every
+    node.  With a record array given, record[j] receives node j's
+    products (c_near b, c_osc a_0, c_far a_1) of the state it starts from.
     """
-    b, a = state[0], state[1:]
+    waves, decays = steps
+    b, a, a_0 = state[0], state[1:], state[1]
+    # a_1 as (*lanes, 2) real parts, so its real transition takes real products
+    a_1 = state[2, ..., None].view(float)
+    decays = decays[..., None]
     v = np.empty_like(b)
-    # (c_near b, c_osc a_0, c_far a_1); a_0 and a_1 take the same steps, as one array
     products = np.empty_like(state)
-    last = len(steps)
+    last = len(waves)
     for j, weight in enumerate(weights):
         if record is not None:
             products = record[j]
@@ -192,7 +220,8 @@ def _lifted_nodes(weights, steps, coef, state, exponent=None, record=None) -> No
         if j == last:
             break
         a += v
-        a *= steps[j]
+        a_0 *= waves[j]
+        a_1 *= decays[j]
         if exponent is not None:
             _rescale(state, exponent)
 
@@ -210,17 +239,18 @@ def _sweep_inputs(weights, gaps, rates, waves):
     return u, dx, rates, waves
 
 
-def _lifted_sweep(u, dx, rates, waves, coefficients, record=None):
+def _lifted_sweep(u, dx, rates, waves, coefficients):
     """The lifted recurrence over all nodes, with the lanes' shape from rates x waves broadcast.
 
-    Returns (coef, state, exponent, redone, scale): the coefficients
-    materialized to the lanes' shape, the final state (b, a_0, a_1) in
-    units of 2^exponent, the lanes of a block swept again with the
-    per-node rescale, and scale (None without a record).  With a record
-    array (N, 3, *lanes) given, record[k] receives node k's products
-    (c_near b, c_osc a_0, c_far a_1) of the state it starts from, in
-    units of 2^scale[k]; a lane swept again keeps the record of its
-    first pass.
+    Returns (coef, checkpoints, exponents): the coefficients
+    materialized to the lanes' shape, and checkpoints[i], the state
+    (b, a_0, a_1) that block i of _BLOCK nodes starts from, in units of
+    2^exponents[i]; checkpoints[-1] and exponents[-1] are the final
+    state.  Each block is swept in place on the checkpoint after its
+    own, with its transitions computed for runs of nodes that keep
+    _TRANSITION_ENTRIES complex entries at most, and the lanes it leaves
+    not finite or 0 are swept again from its checkpoint, rescaled after
+    every node.
     """
     N = len(u)
     shape = np.broadcast_shapes(rates.shape, waves.shape)
@@ -229,41 +259,75 @@ def _lifted_sweep(u, dx, rates, waves, coefficients, record=None):
     coef = np.empty((3, *shape), dtype=complex)
     for c, value in zip(coef, coefficients):
         c[...] = value
-    state = np.zeros((3, *shape), dtype=complex)
-    state[0] = 1.0
-    start_state = np.empty_like(state)
-    exponent = np.zeros(shape, dtype=int)
-    redone = np.zeros(shape, dtype=bool)
-    scale = None if record is None else np.empty((N, *shape), dtype=int)
-    # steps[j] holds node j's transitions of a_0 and a_1, refilled for each block
-    steps = np.empty((_BLOCK, 2, *shape), dtype=complex)
-    for start in range(0, N, _BLOCK):
+    blocks = -(-N // _BLOCK)
+    checkpoints = np.zeros((blocks + 1, 3, *shape), dtype=complex)
+    checkpoints[0, 0] = 1.0
+    # int32 as frexp gives them; a sweep's sums stay far inside that range
+    exponents = np.zeros((blocks + 1, *shape), dtype=np.int32)
+    lanes = math.prod(shape)
+    run = max(1, min(_BLOCK, _TRANSITION_ENTRIES // max(lanes, 1)))
+    # the a_0 transitions of one run of nodes, refilled for each run
+    buffer = np.empty((run, *shape), dtype=complex)
+    for i, start in enumerate(range(0, N, _BLOCK)):
         stop = min(start + _BLOCK, N)
-        block = dx[start:stop]
-        fall = np.exp(-np.multiply.outer(block, rates))
-        step = steps[: len(block)]
-        np.multiply(fall, _cis(np.multiply.outer(block, waves)), out=step[:, 0])
-        step[:, 1] = fall * fall
-        start_state[...] = state
-        if record is None:
-            _lifted_nodes(u[start:stop], step, coef, state)
-        else:
-            scale[start:stop] = exponent
-            _lifted_nodes(u[start:stop], step, coef, state, record=record[start:stop])
+        state, exponent = checkpoints[i + 1], exponents[i + 1]
+        state[...] = checkpoints[i]
+        exponent[...] = exponents[i]
+        for first in range(start, stop, run):
+            last = min(first + run, stop)
+            gaps = dx[first:last]
+            steps = _transitions(gaps, rates, waves, out=buffer[: len(gaps)])
+            _lifted_nodes(u[first:last], steps, coef, state)
         redo = _rescale(state, exponent)
         if redo.any():
-            lanes = (slice(None), redo)
-            again, shift = start_state[lanes], exponent[redo]
-            _lifted_nodes(u[start:stop], step[:, :, redo], coef[lanes], again, shift)
-            state[lanes], exponent[redo] = again, shift
-            redone |= redo
-    return coef, state, exponent, redone, scale
+            again, shift = checkpoints[i][:, redo], exponents[i][redo]
+            steps = _transitions(
+                dx[start:stop],
+                np.broadcast_to(rates, shape)[redo],
+                np.broadcast_to(waves, shape)[redo],
+            )
+            _lifted_nodes(u[start:stop], steps, coef[:, redo], again, shift)
+            state[:, redo], exponent[redo] = again, shift
+    return coef, checkpoints, exponents
 
 
 def _det2_from_state(u, coef, state, exponent):
     """det2 = exp(log b + e ln 2 - c_near sum(u)) from the final lifted state."""
     log_det = np.log(state[0]) + exponent * _LN2
     return np.exp(log_det - coef[0] * np.sum(u))
+
+
+@dataclass(frozen=True, eq=False)
+class SemiseparableSweep:
+    """One semiseparable_sweep: its det2 values and the checkpoints its certificate replays.
+
+    values[s, p] is det2 at (rates[s], waves[p]), and coef the
+    coefficients (c_near, c_osc, c_far) materialized to (3, S, P).
+    checkpoints[i], shape (3, S, P), is every lane's lifted state
+    (b, a_0, a_1) where block i of _BLOCK nodes starts, in units of
+    2^exponents[i]; checkpoints[-1] and exponents[-1] are the final
+    state, from which the values are taken.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
+    gaps: np.ndarray
+    rates: np.ndarray
+    waves: np.ndarray
+    coef: np.ndarray
+    checkpoints: np.ndarray
+    exponents: np.ndarray
+
+
+def semiseparable_sweep(weights, gaps, rates, waves, coefficients) -> SemiseparableSweep:
+    """det2_semiseparable's sweep, kept with its block checkpoints for det2_semiseparable_bound."""
+    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        coef, checkpoints, exponents = _lifted_sweep(
+            u, dx, rates[:, None], waves[None, :], coefficients
+        )
+        values = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])
+    return SemiseparableSweep(values, u, dx, rates, waves, coef, checkpoints, exponents)
 
 
 def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
@@ -287,46 +351,98 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
     a_c becomes (a_c + V) times its transition e^((i w - n) dx) or
     e^(-2 n dx); after the last node b = det(I + T).  No step divides,
     so a pivot 1 + V/b through zero is carried like any other.  The
-    transitions have modulus at most 1, and e^(i w dx) is shared by
-    every rate.  After each block of _BLOCK nodes every matrix's state
-    is rescaled by a power of two near its max-abs part, whose log is
-    added to the result; a block whose end state is not finite or is 0
-    is swept again for those matrices alone, rescaled after every node.
+    transitions have modulus at most 1, e^(i w dx) is shared by every
+    rate, and the real e^(-2 n dx) by every wave.  After each block of
+    _BLOCK nodes every matrix's state is rescaled by a power of two near
+    its max-abs part, whose log is added to the result; a block whose
+    end state is not finite or is 0 is swept again for those matrices
+    alone, rescaled after every node.
     """
-    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        coef, state, exponent, _, _ = _lifted_sweep(
-            u, dx, rates[:, None], waves[None, :], coefficients
-        )
-        return _det2_from_state(u, coef, state, exponent)
+    return semiseparable_sweep(weights, gaps, rates, waves, coefficients).values
 
 
-def det2_semiseparable_bound(weights, gaps, rates, waves, coefficients) -> tuple:
-    """det2_semiseparable at paired lanes, with a running error bound on each value.
+def det2_semiseparable_bound(sweep: SemiseparableSweep, rows, columns) -> tuple:
+    """det2 of a sweep at the lanes (rows[k], columns[k]), with a running error bound on each.
 
-    The matrices are those of det2_semiseparable at (rates[s], waves[s])
-    for each s, with coefficients broadcast to (S,): the same sweep on S
-    lanes rather than S x P, which records the products each node forms
-    from the state it starts from.  Returns (values, bound), both of shape (S,): bound is the
+    The bound needs the products each node forms from the state it
+    starts from.  Rather than sweep again, each block of the chosen
+    lanes is replayed from its checkpoint, all blocks at once, so the
+    record takes _BLOCK node steps rather than N (_replay).  Each
+    replayed block, rescaled by the sweep's power of two, must end bit
+    for bit on the checkpoint after it; then the replayed blocks chain
+    into one sweep from (1, 0, 0) that ends on the sweep's own final
+    state.  Returns (values, bound), both of shape (K,): bound is the
     first-order bound of _running_error_bound on
     |value - exact| / |exact|, exact being det2(I + T) on the given nodes,
     with the weights and coefficients allowed their own input rounding;
-    it is inf where the sweep of a lane needed the per-node rescale or
-    the bound is not finite.
+    it is inf on a lane with a broken link, which every lane the sweep
+    redid with the per-node rescale has, and where it is not finite.
     """
-    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
-    if rates.shape != waves.shape:
-        raise ValueError("need one wave per rate")
-    record = np.empty((len(u), 3, len(rates)), dtype=complex)
+    rows = np.asarray(rows, dtype=np.intp)
+    columns = np.asarray(columns, dtype=np.intp)
+    if rows.ndim != 1 or rows.shape != columns.shape:
+        raise ValueError("need one column per row")
+    u, dx = sweep.weights, sweep.gaps
+    rates, waves = sweep.rates[rows], sweep.waves[columns]
+    coef = sweep.coef[:, rows, columns]
+    checkpoints = sweep.checkpoints[:, :, rows, columns]
+    exponents = sweep.exponents[:, rows, columns]
+    state, exponent = checkpoints[-1], exponents[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        coef, state, exponent, redone, scale = _lifted_sweep(
-            u, dx, rates, waves, coefficients, record
-        )
+        record, linked = _replay(u, dx, rates, waves, coef, checkpoints, exponents)
         values = _det2_from_state(u, coef, state, exponent)
-        scale -= exponent
-        bound = _running_error_bound(u, dx, rates, waves, coef, record, scale, state[0], exponent)
-    bound[redone | ~np.isfinite(bound)] = np.inf
+        shift = np.repeat(exponents[:-1] - exponent, _BLOCK, axis=0)[: len(u)]
+        bound = _running_error_bound(u, dx, rates, waves, coef, record, shift, state[0], exponent)
+    bound[~linked | ~np.isfinite(bound)] = np.inf
     return values, bound
+
+
+def _replay(u, dx, rates, waves, coef, checkpoints, exponents):
+    """Every block of a sweep's lanes run again from its checkpoint, all blocks at once.
+
+    The lanes are the K paired (rates[k], waves[k]) with coef (3, K),
+    checkpoints (blocks + 1, 3, K) and exponents (blocks + 1, K) taken
+    from a sweep.  Node i _BLOCK + j is step j of replay lane (i, k), with
+    the transitions computed as the sweep computes them; the last block
+    is padded with nodes of weight 0 and transitions 1, which leave b
+    as it is.  Returns (record, linked): record[m], shape (N, 3, K),
+    holds node m's products (c_near b, c_osc a_0, c_far a_1) in units of
+    2^exponents[i] of its block i, and linked (K,) whether every block
+    of the lane, scaled by 2^-(exponents[i + 1] - exponents[i]) as the
+    sweep's rescale scaled it, ends bit for bit on checkpoints[i + 1].
+    Past the last node the sweep leaves a_0 and a_1 as they were and
+    the replay runs them on, so the last block's link is b alone.
+    """
+    N, K = len(u), len(rates)
+    blocks = len(checkpoints) - 1
+    nodes = blocks * _BLOCK
+
+    def by_step(array):
+        """(nodes, ...) as (_BLOCK, blocks, ...): step j of every block together."""
+        grouped = array.reshape(blocks, _BLOCK, *array.shape[1:])
+        return np.ascontiguousarray(grouped.swapaxes(0, 1))
+
+    weights = np.zeros(nodes, dtype=complex)
+    weights[:N] = u
+    wave = np.ones((nodes, K), dtype=complex)
+    decay = np.ones((nodes, K))
+    _, decay[: N - 1] = _transitions(dx, rates, waves, out=wave[: N - 1])
+    state = np.ascontiguousarray(checkpoints[:-1].swapaxes(0, 1))
+    lanes_coef = np.broadcast_to(coef[:, None], state.shape).copy()
+    record = np.empty((blocks, _BLOCK, 3, K), dtype=complex)
+    _lifted_nodes(
+        by_step(weights)[..., None],
+        (by_step(wave), by_step(decay)),
+        lanes_coef,
+        state,
+        record=record.transpose(1, 2, 0, 3),
+    )
+    factor = np.ldexp(1.0, exponents[:-1] - exponents[1:])
+    ends = state.view(float).reshape(3, blocks, K, 2) * factor[..., None]
+    starts = np.ascontiguousarray(checkpoints[1:].swapaxes(0, 1))
+    same = (ends.view(np.uint64) == starts.view(np.uint64).reshape(ends.shape)).all(axis=-1)
+    same[1:, -1] = True
+    return record.reshape(nodes, 3, K)[:N], same.all(axis=(0, 1))
 
 
 # Unit roundoff, and the first-order error constants of _running_error_bound.

@@ -28,7 +28,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .determinants import RefinementNeededError, det2_semiseparable, det2_semiseparable_bound
+from .determinants import (
+    RefinementNeededError,
+    SemiseparableSweep,
+    det2_semiseparable_bound,
+    semiseparable_sweep,
+)
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
@@ -225,7 +230,8 @@ class MollifiedBSFamily:
     keeps one sign), so its det2 is the complex conjugate.  A family holds one
     profile on one grid; det2_sweep eliminates that structure for a
     whole schedule of n at once, in O(N) per point and n, and
-    det2_certificate bounds its rounding error.  matrix(n, nu) assembles
+    det2_certificate bounds its rounding error at chosen points by
+    replaying the sweep's blocks from their checkpoints.  matrix(n, nu) assembles
     one dense matrix, the package's only dense view of the mollified
     kernel: the oracle of the structured path in the tests, and its
     spot check where the certificate's bound is too loose.  It agrees
@@ -293,15 +299,16 @@ class MollifiedBSFamily:
 
 def det2_sweep(
     family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.ndarray
-) -> np.ndarray:
-    """det2 of family.matrix(n, nu) at every n and nu, shape (len(schedule), len(nu_grid)).
+) -> SemiseparableSweep:
+    """det2 of family.matrix(n, nu) at every n and nu, as values (len(schedule), len(nu_grid)).
 
-    One det2_semiseparable elimination serves the whole schedule:
+    One semiseparable_sweep elimination serves the whole schedule:
     T = diag(row) F diag(col) has the determinant of diag(row col) F.
+    The sweep returned keeps its block checkpoints for det2_certificate.
     """
     nu = np.asarray(nu_grid, dtype=float)
     rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
-    return det2_semiseparable(
+    return semiseparable_sweep(
         family._row * family._col,
         np.diff(family.grid.nodes),
         rates,
@@ -311,24 +318,16 @@ def det2_sweep(
 
 
 def det2_certificate(
-    family: MollifiedBSFamily, schedule: Sequence[int], nu: np.ndarray
+    sweep: SemiseparableSweep, points: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """det2 of family.matrix(schedule[s], nu[s]) for each s, with a running error bound on each.
+    """det2 of a det2_sweep at (schedule[s], nu_grid[points[s]]), with running error bounds.
 
-    The paired counterpart of det2_sweep: the same lifted sweep, run on
-    one (n, nu) per entry of the schedule, also returns
-    det2_semiseparable_bound's first-order bound on the relative error
+    det2_semiseparable_bound replays those lanes from the sweep's block
+    checkpoints and returns the first-order bound on the relative error
     of each value.
     """
-    nu = np.asarray(nu, dtype=float)
-    rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
-    return det2_semiseparable_bound(
-        family._row * family._col,
-        np.diff(family.grid.nodes),
-        rates,
-        nu,
-        _mollified_coefficients(rates, nu, 1.0),
-    )
+    points = np.asarray(points, dtype=np.intp)
+    return det2_semiseparable_bound(sweep, np.arange(len(points)), points)
 
 
 def fourier_pair(

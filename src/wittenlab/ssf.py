@@ -26,14 +26,15 @@ nu-integral of the 1-D curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
-structured elimination, O(N) per point (det2_sweep).  Each n's value at
-its point of smallest |det2| is then vouched for by a second O(N) sweep
-at those points alone, which carries a running error bound
-(det2_certificate).  Where the bound is too loose to vouch, that n falls
-back to the dense LU det2 of the assembled matrix, before its phase is
-tracked.  The fallbacks of one call share one N x N buffer, allocated at
-the first of them: each assembles its matrix there and factors it in
-place.
+structured elimination, O(N) per point (det2_sweep), which keeps the
+state each block of nodes starts from.  Each n's value at its point of
+smallest |det2| is then vouched for by a running error bound on the
+sweep's own record there, replayed from those checkpoints for all
+blocks at once (det2_certificate).  Where the bound is too loose to
+vouch, that n falls back to the dense LU det2 of the assembled matrix,
+before its phase is tracked.  The fallbacks of one call share one N x N
+buffer, allocated at the first of them: each assembles its matrix there
+and factors it in place.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .determinants import RefinementNeededError, det2, phase_curve
+from .determinants import RefinementNeededError, SemiseparableSweep, det2, phase_curve
 from .discretize import (
     MollifiedBSFamily,
     _legendre_rule,
@@ -168,23 +169,23 @@ _SPOT_CHECK_TOL = 1e-9
 
 
 def _vouched(
-    family: MollifiedBSFamily, schedule: tuple, nu: np.ndarray, values: np.ndarray
+    sweep: SemiseparableSweep, points: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """Which of the sweep's values at (schedule[s], nu[s]) the O(N) certificate vouches for.
+    """Which of the sweep's values at (schedule[s], nu[points[s]]) the certificate vouches for.
 
-    det2_certificate sweeps again at these points alone, carrying a
-    first-order running error bound: with its value r and relative bound
-    e, the exact det2 d lies within e |r| of r, so the sweep's value v
-    lies within |v - r| + e |r| of d.  Where that is within
-    _SPOT_CHECK_TOL (1 + |r|), the margin the dense check allows, v is
-    vouched for without it.  A non-finite rerun or bound vouches for
-    nothing, and a NaN in v fails the comparison.
+    det2_certificate replays the sweep at these points from its block
+    checkpoints, carrying a first-order running error bound: with its
+    value r and relative bound e, the exact det2 d lies within e |r| of
+    r, so the sweep's value v lies within |v - r| + e |r| of d.  Where
+    that is within _SPOT_CHECK_TOL (1 + |r|), the margin the dense check
+    allows, v is vouched for without it.  A non-finite replay or bound
+    vouches for nothing, and a NaN in v fails the comparison.
     """
-    rerun, bound = det2_certificate(family, schedule, nu)
-    size = np.abs(rerun)
+    replayed, bound = det2_certificate(sweep, points)
+    size = np.abs(replayed)
     with np.errstate(invalid="ignore"):
-        within = np.abs(values - rerun) + bound * size <= _SPOT_CHECK_TOL * (1.0 + size)
-    return within & np.isfinite(rerun) & np.isfinite(bound)
+        within = np.abs(values - replayed) + bound * size <= _SPOT_CHECK_TOL * (1.0 + size)
+    return within & np.isfinite(replayed) & np.isfinite(bound)
 
 
 def _spot_check(
@@ -270,16 +271,19 @@ def ssf_mollified(
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, grid)
     sweep = det2_sweep(family, schedule, nu)
+    det2_values = sweep.values
     # each n is checked where |det2| is smallest, where the elimination
     # without pivoting is least well conditioned, or at its first NaN,
     # which argmin returns first
-    points = np.argmin(np.abs(sweep), axis=1)
-    checked = sweep[np.arange(len(schedule)), points]
-    vouched = _vouched(family, schedule, nu[points], checked)
+    points = np.argmin(np.abs(det2_values), axis=1)
+    checked = det2_values[np.arange(len(schedule)), points]
+    vouched = _vouched(sweep, points, checked)
+    # the checkpoints are freed before the phase tracking and any dense fallback
+    del sweep
     workspace = None
     curves = []
     try:
-        for m, values, k, value, ok in zip(schedule, sweep, points, checked, vouched):
+        for m, values, k, value, ok in zip(schedule, det2_values, points, checked, vouched):
             if not ok:
                 if workspace is None:
                     workspace = np.empty((grid.N, grid.N), dtype=complex)

@@ -36,7 +36,8 @@ from wittenlab import (
     phase_curve,
 )
 
-from wittenlab.determinants import det2_semiseparable_bound
+from wittenlab import determinants
+from wittenlab.determinants import det2_semiseparable_bound, semiseparable_sweep
 from wittenlab.discretize import MollifiedBSFamily, det2_certificate, det2_sweep
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
@@ -301,7 +302,7 @@ def test_structured_det2_matches_dense(N, side):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         grid = build_grid(profile, N)
-        structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu)[0]
+        structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu).values[0]
         dense = _dense_det2(profile, n, grid, nu, side)
         assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
 
@@ -315,14 +316,92 @@ def test_certificate_bounds_the_error_against_dense(N):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         family = MollifiedBSFamily(profile, build_grid(profile, N))
-        values, bound = det2_certificate(family, [n] * len(nu), nu)
-        assert np.array_equal(values, det2_sweep(family, [n], nu)[0])
+        # one n per point: the certificate takes one point of each schedule entry
+        values, bound = det2_certificate(det2_sweep(family, [n] * len(nu), nu), range(len(nu)))
+        assert np.array_equal(values, det2_sweep(family, [n], nu).values[0])
         dense = _dense_det2(profile, n, family.grid, nu, "upper")
         error = np.abs(values - dense) / np.abs(dense)
         assert np.all(error <= bound), f"{kind}({sign},{width}) n={n}"
         worst = max(worst, float(np.max(bound)))
     # a bound, not a bare pass: tight enough to vouch at 1e-9
     assert worst < 1e-9
+
+
+def test_sweep_is_bitwise_the_same_in_shorter_transition_runs(monkeypatch):
+    # 24 lanes take each block's transitions in one run of 32 nodes; runs of
+    # 1 and of 21 (then 11) nodes compute the same entries one by one
+    family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 100))
+    nu = np.linspace(-12.0, 12.0, 8)
+    whole = det2_sweep(family, (2, 8, 32), nu)
+    for run in (1, 21):
+        monkeypatch.setattr(determinants, "_TRANSITION_ENTRIES", run * 24)
+        split = det2_sweep(family, (2, 8, 32), nu)
+        assert split.values.tobytes() == whole.values.tobytes()
+        assert split.checkpoints.tobytes() == whole.checkpoints.tobytes()
+
+
+def _sequential_certificate(sweep, rows, columns):
+    """The sweep of the lanes (rows[k], columns[k]) run again node by node from (1, 0, 0),
+    rescaled after each block, with each node's products recorded, and its bound."""
+    u, dx, block = sweep.weights, sweep.gaps, determinants._BLOCK
+    rates, waves = sweep.rates[rows], sweep.waves[columns]
+    coef = sweep.coef[:, rows, columns]
+    N, K = len(u), len(rates)
+    fall = np.exp(-np.multiply.outer(dx, rates))
+    theta = np.multiply.outer(dx, waves)
+    wave = fall * (np.cos(theta) + 1j * np.sin(theta))
+    decay = fall * fall
+    state = np.zeros((3, K), dtype=complex)
+    state[0] = 1.0
+    exponent = np.zeros(K, dtype=int)
+    record = np.empty((N, 3, K), dtype=complex)
+    scale = np.empty((N, K), dtype=int)
+    for k in range(N):
+        record[k] = coef * state
+        scale[k] = exponent
+        v = (record[k, 0] - record[k, 1] + record[k, 2]) * u[k]
+        state[0] += v
+        if k < N - 1:
+            state[1] = (state[1] + v) * wave[k]
+            a_1 = state[2] + v
+            state.real[2] = a_1.real * decay[k]
+            state.imag[2] = a_1.imag * decay[k]
+        if (k + 1) % block == 0 or k == N - 1:
+            determinants._rescale(state, exponent)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        values = determinants._det2_from_state(u, coef, state, exponent)
+        bound = determinants._running_error_bound(
+            u, dx, rates, waves, coef, record, scale - exponent, state[0], exponent
+        )
+    return values, bound
+
+
+def assert_certificate_is_the_sequential_record(sweep, rows, columns, certificate=None):
+    values, bound = certificate or det2_semiseparable_bound(sweep, rows, columns)
+    expected_values, expected_bound = _sequential_certificate(sweep, rows, columns)
+    assert np.all(np.isfinite(bound))
+    assert values.tobytes() == expected_values.tobytes()
+    assert bound.tobytes() == expected_bound.tobytes()
+
+
+@pytest.mark.parametrize("N", (64, 400))
+def test_certificate_replay_is_the_sequential_record(N):
+    # every shape, every n at the points of test_structured_det2_matches_dense
+    nu = np.array([-12.0, 0.5, 6.0])
+    rows, columns = np.divmod(np.arange(len(MOLLIFIERS) * len(nu)), len(nu))
+    for kind, sign, width in SHAPES:
+        profile = builtin_profile(kind, sign, width)
+        sweep = det2_sweep(MollifiedBSFamily(profile, build_grid(profile, N)), MOLLIFIERS, nu)
+        assert_certificate_is_the_sequential_record(sweep, rows, columns)
+
+
+def test_certificate_replay_is_the_sequential_record_at_the_default_check_points():
+    nu = np.linspace(-12.0, 12.0, 401)
+    schedule = (2, 4, 8, 16, 32)
+    sweep = det2_sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 400)), schedule, nu)
+    points = np.argmin(np.abs(sweep.values), axis=1)
+    certificate = det2_certificate(sweep, points)
+    assert_certificate_is_the_sequential_record(sweep, range(len(schedule)), points, certificate)
 
 
 def test_certificate_bound_is_finite_through_a_zero_pivot_and_inf_past_double_range():
@@ -332,16 +411,18 @@ def test_certificate_bound_is_finite_through_a_zero_pivot_and_inf_past_double_ra
     weights[31] = -1.0
     weights[32:] = 0.3 - 0.1j
     gaps = np.full(N - 1, 0.5)
-    values, bound = det2_semiseparable_bound(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
+    sweep = semiseparable_sweep(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
+    values, bound = det2_semiseparable_bound(sweep, [0], [0])
     dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.7, (1.0, 0.4, 0.2)))
     assert abs(values[0] - dense) <= bound[0] * abs(dense) and bound[0] < 1e-12
+    assert_certificate_is_the_sequential_record(sweep, [0], [0])
     # blocks whose pivot products leave double range are swept again node by
     # node; the bound does not follow that rescue, and vouches for nothing
     weights = np.concatenate(
         (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
     )
     args = (weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
-    values, bound = det2_semiseparable_bound(*args)
+    values, bound = det2_semiseparable_bound(semiseparable_sweep(*args), [0], [0])
     assert values[0] == det2_semiseparable(*args)[0, 0]
     assert bound[0] == np.inf
 
@@ -352,6 +433,6 @@ def test_structured_det2_does_not_overflow(side):
     grid = build_grid(GAUSS, 400)
     assert 2 * 256 * grid.L > 709.0
     nu = np.linspace(-12.0, 12.0, 9)
-    structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu)[0]
+    structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu).values[0]
     assert np.all(np.isfinite(structured))
     assert_allclose(structured, _dense_det2(GAUSS, 256, grid, nu, side), rtol=1e-12)

@@ -8,11 +8,13 @@ collapse to the elementary value c/(-z), which pins the cell weights
 and tail handling before the determinant pipeline enters.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from wittenlab import ssf
+from wittenlab import determinants, ssf
 from wittenlab import (
     CoverageError,
     RefinementNeededError,
@@ -113,8 +115,8 @@ def _count_dense_det2(monkeypatch):
 def _record_bounds(monkeypatch):
     bounds = []
 
-    def recorded(family, schedule, nu):
-        values, bound = certificate(family, schedule, nu)
+    def recorded(sweep, points):
+        values, bound = certificate(sweep, points)
         bounds.extend(bound)
         return values, bound
 
@@ -125,8 +127,8 @@ def _record_bounds(monkeypatch):
 
 def _force_fallback(monkeypatch):
     # every bound inf: the certificate vouches for no n
-    def unvouched(family, schedule, nu):
-        values, bound = certificate(family, schedule, nu)
+    def unvouched(sweep, points):
+        values, bound = certificate(sweep, points)
         return values, np.full_like(bound, np.inf)
 
     certificate = ssf.det2_certificate
@@ -208,7 +210,8 @@ def test_refused_sweep_releases_its_workspace(monkeypatch):
 def test_ssf_mollified_peak_allocation(traced_peak, schedule, N, points):
     # the elimination's working memory alone: the certificate vouches for
     # every n, so no N x N array is built.  At N = 800 that stays below one
-    # N x N array; at N = 400 the schedule's transitions, 2 MB, are of its size
+    # N x N array; at N = 400 the schedule's a_0 transitions, 1 MB, and its
+    # block checkpoints, 1.35 MB, are each about half its size
     nu = np.linspace(-12.0, 12.0, points)
     peak, _ = traced_peak(lambda: ssf_mollified(GAUSS, schedule, nu, N))
     assert peak < {400: 2, 800: 1}[N] * N * N * 16
@@ -221,18 +224,64 @@ def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
     if corruption == "perturbed":
         # every value 1e-6 off; the check looks where |det2| is smallest
         corrupt = lambda values: values * (1.0 + 1e-6)
-        values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0]
+        values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu).values[0]
         refused = float(nu[np.argmin(np.abs(values))])
     else:
         # a NaN at one point; the check looks there first
         corrupt = lambda values: np.where(np.arange(values.shape[-1]) == 40, np.nan, values)
         refused = float(nu[40])
-    monkeypatch.setattr(
-        ssf, "det2_sweep", lambda family, schedule, nu: corrupt(exact(family, schedule, nu))
-    )
+    def corrupted(family, schedule, nu):
+        # the values alone: the certificate replays the sweep's own checkpoints
+        sweep = exact(family, schedule, nu)
+        return dataclasses.replace(sweep, values=corrupt(sweep.values))
+
+    monkeypatch.setattr(ssf, "det2_sweep", corrupted)
     with pytest.raises(RefinementNeededError, match="disagrees with the dense det2") as err:
         small_curve(n=2)
     assert err.value.interval == (refused, refused)
+
+
+@pytest.mark.parametrize("block, part", ((5, 0), (5, 1), (-1, 0)))
+def test_a_broken_checkpoint_link_falls_back_to_one_dense_det2(monkeypatch, block, part):
+    # one ulp off in one part of one checkpoint of n = 4's checked lane (the
+    # final b at block -1): a replayed block no longer ends where the next
+    # starts, so n = 4 is not vouched for; its dense det2 agrees with the
+    # sweep's values, which the flip leaves as they were
+    nu = np.linspace(-8.0, 8.0, 161)
+    schedule = (2, 4, 8)
+    expected = ssf_mollified(GAUSS, schedule, nu, 300)
+    exact = ssf.det2_sweep
+
+    def flipped(family, schedule, nu):
+        sweep = exact(family, schedule, nu)
+        point = np.argmin(np.abs(sweep.values[1]))
+        checkpoint = sweep.checkpoints.real[block, part, 1]
+        checkpoint[point] = np.nextafter(checkpoint[point], np.inf)
+        return sweep
+
+    monkeypatch.setattr(ssf, "det2_sweep", flipped)
+    dense_calls = _count_dense_det2(monkeypatch)
+    bounds = _record_bounds(monkeypatch)
+    curves = ssf_mollified(GAUSS, schedule, nu, 300)
+    assert [T.shape for T in dense_calls] == [(300, 300)]
+    assert bounds[1] == np.inf and max(bounds[0], bounds[2]) <= 1e-9
+    for curve, reference in zip(curves, expected):
+        assert_array_equal(curve.values, reference.values)
+
+
+def test_ssf_mollified_sweeps_the_nodes_once(monkeypatch):
+    # N sequential node steps for the sweep, and _BLOCK for the certificate,
+    # which replays every block at once: a second full sweep would add N
+    steps = []
+    lifted_nodes = determinants._lifted_nodes
+
+    def counted(weights, *args, **kwargs):
+        steps.append(len(weights))
+        lifted_nodes(weights, *args, **kwargs)
+
+    monkeypatch.setattr(determinants, "_lifted_nodes", counted)
+    ssf_mollified(GAUSS, (2, 4, 8, 16, 32), np.linspace(-12.0, 12.0, 401), 400)
+    assert 400 <= sum(steps) <= 400 + determinants._BLOCK
 
 
 def test_ssf_mollified_schedule_matches_the_per_n_loop():
