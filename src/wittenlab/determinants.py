@@ -14,14 +14,16 @@ It runs over a whole batch of decay rates and wave numbers at once, in
 the division-free lifted form of the elimination (Gohberg-Goldberg-
 Krupnik, ch. IX): three state numbers per matrix, rescaled by a power
 of two once per block of nodes, so a pivot through zero is carried
-rather than divided by.  The sweep keeps the state each block starts
-from.  det2_semiseparable_bound replays the blocks of a few chosen
-matrices from those checkpoints, all blocks at once, checks that each
-ends bit for bit where the next starts, and carries a first-order
-running error bound on the record (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 3).  That vouches for a sweep in O(N) work
-and one block's worth of sequential steps; the dense det2 remains the
-oracle of the tests and the fallback where the bound is too loose.
+rather than divided by.  The sweep certifies itself: it keeps the
+state each block starts from, and before it returns it replays the
+blocks of one matrix per rate, its check point, from those
+checkpoints, all blocks at once, checks that each ends bit for bit
+where the next starts, and carries a first-order running error bound
+on the record (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 3).  That vouches for a sweep in O(N) work and one block's worth
+of sequential steps, and the checkpoints never leave the call; the
+dense det2 remains the oracle of the tests and the fallback where the
+bound is too loose.
 
 Phase unwrapping is anchored at the leftmost sweep point, where the
 determinant must already be close to 1, and swept upward with a
@@ -43,12 +45,9 @@ __all__ = [
     "RefinementNeededError",
     "NearSingularError",
     "PhaseCurve",
-    "SemiseparableSweep",
     "det_complex",
     "det2",
     "det2_semiseparable",
-    "det2_semiseparable_bound",
-    "semiseparable_sweep",
     "hs_norm",
     "phase_curve",
 ]
@@ -297,41 +296,8 @@ def _det2_from_state(u, coef, state, exponent):
     return np.exp(log_det - coef[0] * np.sum(u))
 
 
-@dataclass(frozen=True, eq=False)
-class SemiseparableSweep:
-    """One semiseparable_sweep: its det2 values and the checkpoints its certificate replays.
-
-    values[s, p] is det2 at (rates[s], waves[p]), and coef the
-    coefficients (c_near, c_osc, c_far) materialized to (3, S, P).
-    checkpoints[i], shape (3, S, P), is every lane's lifted state
-    (b, a_0, a_1) where block i of _BLOCK nodes starts, in units of
-    2^exponents[i]; checkpoints[-1] and exponents[-1] are the final
-    state, from which the values are taken.
-    """
-
-    values: np.ndarray
-    weights: np.ndarray
-    gaps: np.ndarray
-    rates: np.ndarray
-    waves: np.ndarray
-    coef: np.ndarray
-    checkpoints: np.ndarray
-    exponents: np.ndarray
-
-
-def semiseparable_sweep(weights, gaps, rates, waves, coefficients) -> SemiseparableSweep:
-    """det2_semiseparable's sweep, kept with its block checkpoints for det2_semiseparable_bound."""
-    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        coef, checkpoints, exponents = _lifted_sweep(
-            u, dx, rates[:, None], waves[None, :], coefficients
-        )
-        values = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])
-    return SemiseparableSweep(values, u, dx, rates, waves, coef, checkpoints, exponents)
-
-
-def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
-    """det2(I + T) over a batch of matrices of one rank-(2, 1) semiseparable shape.
+def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> tuple:
+    """det2(I + T) over a batch of matrices of one rank-(2, 1) semiseparable shape, certified.
 
     On nodes x_1 < ... < x_N with gaps[k] = x_{k+1} - x_k, T = diag(weights) F,
     where F depends on a decay rate n > 0 and a wave number w:
@@ -342,7 +308,7 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
 
     rank 1 above the diagonal and rank 2 below it.  The batch runs over
     rates (S,) and waves (P,), with coefficients = (c_near, c_osc, c_far)
-    broadcast to (S, P); the result has shape (S, P).  Elimination
+    broadcast to (S, P).  Elimination
     without pivoting is carried in its linear (lifted) form, three
     numbers per matrix: b, the determinant of the leading block, and
     a_0, a_1, the rank-2 part of that block coupled through its inverse
@@ -357,44 +323,47 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> np.ndarray:
     its max-abs part, whose log is added to the result; a block whose
     end state is not finite or is 0 is swept again for those matrices
     alone, rescaled after every node.
+
+    Returns (values, points, bound).  values[s, p] is det2 at
+    (rates[s], waves[p]).  points[s] is each rate's check point, the
+    wave of smallest |det2|, where elimination without pivoting is
+    least well conditioned, or of its first NaN, which argmin returns
+    first.  bound[s] is the first-order bound of _running_error_bound on
+    |values[s, points[s]] - exact| / |exact|, exact being det2(I + T) on
+    the given nodes, with the weights and coefficients allowed their own
+    input rounding.  The bound needs the products each node forms from
+    the state it starts from.  Rather than sweep again, each block of
+    the checked lanes is replayed from the checkpoint the sweep kept
+    for it, all blocks at once, so the record takes _BLOCK node steps
+    rather than N (_replay).  Each replayed block, rescaled by the
+    sweep's power of two, must end bit for bit on the checkpoint after
+    it; then the replayed blocks chain into one sweep from (1, 0, 0)
+    that ends on the sweep's own final state.  bound is inf on a lane
+    with a broken link, which every lane the sweep redid with the
+    per-node rescale has, and where it is not finite.
     """
-    return semiseparable_sweep(weights, gaps, rates, waves, coefficients).values
-
-
-def det2_semiseparable_bound(sweep: SemiseparableSweep, rows, columns) -> tuple:
-    """det2 of a sweep at the lanes (rows[k], columns[k]), with a running error bound on each.
-
-    The bound needs the products each node forms from the state it
-    starts from.  Rather than sweep again, each block of the chosen
-    lanes is replayed from its checkpoint, all blocks at once, so the
-    record takes _BLOCK node steps rather than N (_replay).  Each
-    replayed block, rescaled by the sweep's power of two, must end bit
-    for bit on the checkpoint after it; then the replayed blocks chain
-    into one sweep from (1, 0, 0) that ends on the sweep's own final
-    state.  Returns (values, bound), both of shape (K,): bound is the
-    first-order bound of _running_error_bound on
-    |value - exact| / |exact|, exact being det2(I + T) on the given nodes,
-    with the weights and coefficients allowed their own input rounding;
-    it is inf on a lane with a broken link, which every lane the sweep
-    redid with the per-node rescale has, and where it is not finite.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    columns = np.asarray(columns, dtype=np.intp)
-    if rows.ndim != 1 or rows.shape != columns.shape:
-        raise ValueError("need one column per row")
-    u, dx = sweep.weights, sweep.gaps
-    rates, waves = sweep.rates[rows], sweep.waves[columns]
-    coef = sweep.coef[:, rows, columns]
-    checkpoints = sweep.checkpoints[:, :, rows, columns]
-    exponents = sweep.exponents[:, rows, columns]
-    state, exponent = checkpoints[-1], exponents[-1]
+    u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        coef, checkpoints, exponents = _lifted_sweep(
+            u, dx, rates[:, None], waves[None, :], coefficients
+        )
+        values = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])
+        points = np.argmin(np.abs(values), axis=1)
+        # The bound is of values[s, points[s]] itself: the final allowance of
+        # _running_error_bound (_ELEM and u per step of the final exp) covers
+        # any evaluation of _det2_from_state on the final state, so no value
+        # taken from that state again is needed to compare against.
+        lanes = np.arange(len(rates))
+        waves = waves[points]
+        coef = coef[:, lanes, points]
+        checkpoints = checkpoints[:, :, lanes, points]
+        exponents = exponents[:, lanes, points]
+        state, exponent = checkpoints[-1], exponents[-1]
         record, linked = _replay(u, dx, rates, waves, coef, checkpoints, exponents)
-        values = _det2_from_state(u, coef, state, exponent)
         shift = np.repeat(exponents[:-1] - exponent, _BLOCK, axis=0)[: len(u)]
         bound = _running_error_bound(u, dx, rates, waves, coef, record, shift, state[0], exponent)
     bound[~linked | ~np.isfinite(bound)] = np.inf
-    return values, bound
+    return values, points, bound
 
 
 def _replay(u, dx, rates, waves, coef, checkpoints, exponents):

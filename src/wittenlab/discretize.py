@@ -28,12 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .determinants import (
-    RefinementNeededError,
-    SemiseparableSweep,
-    det2_semiseparable_bound,
-    semiseparable_sweep,
-)
+from .determinants import RefinementNeededError, det2_semiseparable
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
@@ -46,7 +41,6 @@ __all__ = [
     "bs_matrix",
     "MollifiedBSFamily",
     "det2_sweep",
-    "det2_certificate",
     "fourier_pair",
     "trace_band",
     "trace_gz_diff",
@@ -72,7 +66,8 @@ class QuadratureGrid:
             raise ValueError("nodes must be strictly increasing")
         if not np.all(self.weights > 0.0):
             raise ValueError("weights must be positive")
-        if abs(float(np.sum(self.weights)) - 2.0 * self.L) > 1e-10:
+        # relative: Gauss-Legendre weights sum to 2L within a few ulps
+        if abs(float(np.sum(self.weights)) - 2.0 * self.L) > 1e-12 * 2.0 * self.L:
             raise ValueError("weights do not sum to the interval length 2L")
 
     @property
@@ -229,12 +224,11 @@ class MollifiedBSFamily:
     and S = diag(sgn phi), the lower side's is S T^H S (T^H where phi
     keeps one sign), so its det2 is the complex conjugate.  A family holds one
     profile on one grid; det2_sweep eliminates that structure for a
-    whole schedule of n at once, in O(N) per point and n, and
-    det2_certificate bounds its rounding error at chosen points by
-    replaying the sweep's blocks from their checkpoints.  matrix(n, nu) assembles
+    whole schedule of n at once, in O(N) per point and n, and bounds
+    its rounding error at one check point per n.  matrix(n, nu) assembles
     one dense matrix, the package's only dense view of the mollified
     kernel: the oracle of the structured path in the tests, and its
-    spot check where the certificate's bound is too loose.  It agrees
+    spot check where the sweep's bound is too loose.  It agrees
     with assemble() over kernels.bs_kernel_mollified to rounding.
     """
 
@@ -297,37 +291,25 @@ class MollifiedBSFamily:
         return BirmanSchwingerMatrix(entries=entries)
 
 
-def det2_sweep(
-    family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.ndarray
-) -> SemiseparableSweep:
-    """det2 of family.matrix(n, nu) at every n and nu, as values (len(schedule), len(nu_grid)).
+def det2_sweep(family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.ndarray) -> tuple:
+    """det2 of family.matrix(n, nu) at every n and nu, with each n's check point and its bound.
 
-    One semiseparable_sweep elimination serves the whole schedule:
+    One det2_semiseparable elimination serves the whole schedule:
     T = diag(row) F diag(col) has the determinant of diag(row col) F.
-    The sweep returned keeps its block checkpoints for det2_certificate.
+    Returns (values, points, bound): values (len(schedule), len(nu_grid)),
+    points[s] the nu index of smallest |det2| (or of the first NaN) of
+    schedule[s], and bound[s] the first-order bound on the relative
+    error of the value there, inf where it vouches for nothing.
     """
     nu = np.asarray(nu_grid, dtype=float)
     rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
-    return semiseparable_sweep(
+    return det2_semiseparable(
         family._row * family._col,
         np.diff(family.grid.nodes),
         rates,
         nu,
         _mollified_coefficients(rates[:, None], nu, 1.0),
     )
-
-
-def det2_certificate(
-    sweep: SemiseparableSweep, points: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """det2 of a det2_sweep at (schedule[s], nu_grid[points[s]]), with running error bounds.
-
-    det2_semiseparable_bound replays those lanes from the sweep's block
-    checkpoints and returns the first-order bound on the relative error
-    of each value.
-    """
-    points = np.asarray(points, dtype=np.intp)
-    return det2_semiseparable_bound(sweep, np.arange(len(points)), points)
 
 
 def fourier_pair(

@@ -26,11 +26,9 @@ nu-integral of the 1-D curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
-structured elimination, O(N) per point (det2_sweep), which keeps the
-state each block of nodes starts from.  Each n's value at its point of
-smallest |det2| is then vouched for by a running error bound on the
-sweep's own record there, replayed from those checkpoints for all
-blocks at once (det2_certificate).  Where the bound is too loose to
+structured elimination, O(N) per point (det2_sweep), which also
+returns, for each n, its point of smallest |det2| and a running error
+bound on the sweep's value there.  Where the bound is too loose to
 vouch, that n falls back to the dense LU det2 of the assembled matrix,
 before its phase is tracked.  The fallbacks of one call share one N x N
 buffer, allocated at the first of them: each assembles its matrix there
@@ -48,13 +46,12 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .determinants import RefinementNeededError, SemiseparableSweep, det2, phase_curve
+from .determinants import RefinementNeededError, det2, phase_curve
 from .discretize import (
     MollifiedBSFamily,
     _legendre_rule,
     _require_off_halfline,
     build_grid,
-    det2_certificate,
     det2_sweep,
     ensure_oscillation_resolved,
     fourier_pair,
@@ -168,26 +165,6 @@ def _check_threads(threads: Optional[int]) -> None:
 _SPOT_CHECK_TOL = 1e-9
 
 
-def _vouched(
-    sweep: SemiseparableSweep, points: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Which of the sweep's values at (schedule[s], nu[points[s]]) the certificate vouches for.
-
-    det2_certificate replays the sweep at these points from its block
-    checkpoints, carrying a first-order running error bound: with its
-    value r and relative bound e, the exact det2 d lies within e |r| of
-    r, so the sweep's value v lies within |v - r| + e |r| of d.  Where
-    that is within _SPOT_CHECK_TOL (1 + |r|), the margin the dense check
-    allows, v is vouched for without it.  A non-finite replay or bound
-    vouches for nothing, and a NaN in v fails the comparison.
-    """
-    replayed, bound = det2_certificate(sweep, points)
-    size = np.abs(replayed)
-    with np.errstate(invalid="ignore"):
-        within = np.abs(values - replayed) + bound * size <= _SPOT_CHECK_TOL * (1.0 + size)
-    return within & np.isfinite(replayed) & np.isfinite(bound)
-
-
 def _spot_check(
     family: MollifiedBSFamily,
     n: int,
@@ -197,7 +174,7 @@ def _spot_check(
 ) -> None:
     """Hold the structured sweep's value at (n, nu) to the dense LU det2 there.
 
-    The fallback of the certificate: a disagreement beyond
+    The fallback where the sweep's bound does not vouch: a disagreement beyond
     _SPOT_CHECK_TOL * (1 + |dense|) is refused with the point named.
     The matrix is assembled in workspace, a complex N x N buffer, and
     det2 shifts its diagonal there, so checks sharing it allocate no
@@ -244,11 +221,13 @@ def ssf_mollified(
     oscillations) propagate as refinement errors rather than being
     papered over.  An int n returns one curve; a sequence of n returns a
     tuple of curves, one per n, from one elimination over the whole
-    schedule, each bitwise equal to the curve of its n alone.  One
-    certificate run vouches for the sweep of every n at once
-    (_vouched); the dense spot check of an n it does not vouch for and
-    the phase tracking run per n in schedule order, so the error raised
-    is the one a loop over n would raise first.
+    schedule, each bitwise equal to the curve of its n alone.  The sweep
+    vouches for an n where its bound e, at the value v of the n's check
+    point, puts the exact det2 within e |v| <= _SPOT_CHECK_TOL (1 + |v|)
+    of v, the margin the dense check allows; a non-finite v or bound
+    vouches for nothing.  The dense spot check of an n it does not vouch
+    for and the phase tracking run per n in schedule order, so the error
+    raised is the one a loop over n would raise first.
     """
     _check_threads(threads)
     single = np.ndim(n) == 0
@@ -270,16 +249,11 @@ def ssf_mollified(
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, grid)
-    sweep = det2_sweep(family, schedule, nu)
-    det2_values = sweep.values
-    # each n is checked where |det2| is smallest, where the elimination
-    # without pivoting is least well conditioned, or at its first NaN,
-    # which argmin returns first
-    points = np.argmin(np.abs(det2_values), axis=1)
+    det2_values, points, bound = det2_sweep(family, schedule, nu)
     checked = det2_values[np.arange(len(schedule)), points]
-    vouched = _vouched(sweep, points, checked)
-    # the checkpoints are freed before the phase tracking and any dense fallback
-    del sweep
+    size = np.abs(checked)
+    with np.errstate(invalid="ignore"):
+        vouched = np.isfinite(checked) & (bound * size <= _SPOT_CHECK_TOL * (1.0 + size))
     workspace = None
     curves = []
     try:
@@ -310,9 +284,13 @@ def ssf_mollified(
     return curves[0] if single else tuple(curves)
 
 
-# lam rows per block of (lam, t) samples: a block of 2001-point rows stays
-# in cache, and the working set does not grow with the number of lam.
+# Midpoints in t of every arcsine transform.
+_T_POINTS = 2001
+# lam rows per block of (lam, t) samples: a block of _T_POINTS-point rows
+# stays in cache, and the working set does not grow with the number of lam.
 _LAMBDA_BLOCK = 16
+# Geometric lam cells of the Stieltjes-pair and Delta_r quadratures.
+_LAMBDA_CELLS = 160
 
 
 def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
@@ -474,14 +452,12 @@ def _check_coverage(curve: SSFCurve, top: float) -> None:
 def pushnitski(
     source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray], tuple],
     lam: Union[float, np.ndarray],
-    *,
-    t_points: int = 2001,
 ) -> Union[float, np.ndarray]:
     """Arcsine-weighted transform of a 1-D curve at lam > 0.
 
     Substituting nu = sqrt(lam) sin(t) turns the weight into the flat
-    measure dt/pi on (-pi/2, pi/2), so a uniform midpoint grid in t
-    integrates constants exactly and odd integrands to rounding.
+    measure dt/pi on (-pi/2, pi/2), so a uniform midpoint grid of
+    _T_POINTS in t integrates constants exactly and odd integrands to rounding.
     source may be a constant or a callable of nu, sampled at every
     (lam, t) point, _LAMBDA_BLOCK values of lam at a time, and called
     once per block.  A sampled 1-D curve (interpolated linearly; lam
@@ -498,9 +474,7 @@ def pushnitski(
     bad = lams[~(lams > 0.0)]
     if bad.size:
         raise ValueError(f"lam must be positive, got {bad[0]:g}")
-    if t_points < 3:
-        raise ValueError("t_points must be at least 3")
-    t = -0.5 * math.pi + (np.arange(t_points) + 0.5) * (math.pi / t_points)
+    t = -0.5 * math.pi + (np.arange(_T_POINTS) + 0.5) * (math.pi / _T_POINTS)
     sin_t = np.sin(t)
     if isinstance(source, tuple):
         if not source:
@@ -559,7 +533,6 @@ def ssf_2d_curve(
     lambda_grid: Optional[np.ndarray] = None,
     *,
     eta_correction: bool = True,
-    t_points: int = 2001,
 ) -> SSFCurve:
     """2-D spectral shift function on a positive lam grid.
 
@@ -578,14 +551,14 @@ def ssf_2d_curve(
     if lam[0] <= 0.0 or not np.all(np.diff(lam) > 0.0):
         raise ValueError("lambda_grid must be strictly increasing and positive")
 
-    provenance: dict = {"t_points": t_points}
+    provenance: dict = {"t_points": _T_POINTS}
     if isinstance(source, SSFCurve):
         evaluator = _extended_evaluator(source, eta_correction=eta_correction)
         provenance.update(source.provenance)
         provenance["eta_correction"] = bool(eta_correction)
     else:
         evaluator = source
-    values = pushnitski(evaluator, lam, t_points=t_points)
+    values = pushnitski(evaluator, lam)
     return SSFCurve(grid=lam, values=values, kind=SSFKind.TWO_DIM, provenance=provenance)
 
 
@@ -728,8 +701,6 @@ def trace_identity_eq1(
     N: int = 400,
     nu_max: float = 12.0,
     nu_points: Optional[int] = None,
-    lambda_cells: int = 160,
-    t_points: int = 2001,
     synthetic_constant: Optional[float] = None,
     threads: Optional[int] = None,
 ) -> TraceCheckReport:
@@ -751,7 +722,7 @@ def trace_identity_eq1(
     _check_threads(threads)
     n = _check_mollifier_index(n)
     z = _require_off_halfline(z)
-    params = {"n": n, "z": z, "N": N, "nu_max": nu_max, "lambda_cells": lambda_cells}
+    params = {"n": n, "z": z, "N": N, "nu_max": nu_max, "lambda_cells": _LAMBDA_CELLS}
 
     if synthetic_constant is not None:
         c = float(synthetic_constant)
@@ -769,10 +740,10 @@ def trace_identity_eq1(
         rhs = _half_weight_integral(curve, z)
         params["nu_points"] = nu_points
 
-    edges, mids = _lambda_cells(nu_max, lambda_cells)
+    edges, mids = _lambda_cells(nu_max, _LAMBDA_CELLS)
     weights = 1.0 / (edges[:-1] - z) - 1.0 / (edges[1:] - z)
     cap = float(edges[-1])
-    xi2d = pushnitski(evaluator, np.append(mids, cap), t_points=t_points)
+    xi2d = pushnitski(evaluator, np.append(mids, cap))
     core = complex(np.sum(xi2d[:-1] * weights))
     tail_term = float(xi2d[-1]) / (cap - z)
     lhs = core + tail_term

@@ -28,6 +28,8 @@ import numpy as np
 
 from .profiles import PotentialProfile, _check_mollifier_index, c0
 from .ssf import (
+    _LAMBDA_CELLS,
+    _T_POINTS,
     SSFCurve,
     SSFKind,
     _check_threads,
@@ -137,8 +139,6 @@ def witten_index(
     N: int = 400,
     nu_max: float = 12.0,
     nu_points: Optional[int] = None,
-    lambda_cells: int = 160,
-    t_points: int = 2001,
     threads: Optional[int] = None,
 ) -> WittenReport:
     """Full index pipeline against the closed-form reference.
@@ -161,15 +161,18 @@ def witten_index(
     if lambda_schedule is None:
         lambda_schedule = [-(2.0**-k) for k in range(9)]
     lam_sched = np.sort(np.asarray(lambda_schedule, dtype=float))
-    if len(lam_sched) == 0 or np.any(lam_sched >= 0.0):
+    # checked before the sweep, which a NaN or a repeated entry would otherwise run in full
+    if len(lam_sched) == 0 or not np.all(lam_sched < 0.0):
         raise ValueError("lambda_schedule must be nonempty and negative")
+    if not (np.all(np.isfinite(lam_sched)) and np.all(np.diff(lam_sched) > 0.0)):
+        raise ValueError("lambda_schedule must be finite, with distinct entries")
     reference = c0(profile)
     provenance = {
         "profile": profile.descriptor(),
         "N": N,
         "nu_max": nu_max,
-        "lambda_cells": lambda_cells,
-        "t_points": t_points,
+        "lambda_cells": _LAMBDA_CELLS,
+        "t_points": _T_POINTS,
     }
 
     if profile.l1_norm == 0.0:
@@ -190,13 +193,11 @@ def witten_index(
     provenance["nu_points"] = nu_points
 
     floor = min(1e-6, 1e-3 * float(np.min(np.abs(lam_sched))))
-    lam_grid = _lambda_grid(nu_max, lambda_cells, floor)
+    lam_grid = _lambda_grid(nu_max, _LAMBDA_CELLS, floor)
 
     curves = ssf_mollified(profile, schedule, nu_grid, N, threads=threads)
     # one transform for the schedule: every curve shares the nu grid
-    xi2d = pushnitski(
-        tuple(_extended_evaluator(curve) for curve in curves), lam_grid, t_points=t_points
-    )
+    xi2d = pushnitski(tuple(_extended_evaluator(curve) for curve in curves), lam_grid)
     delta_per_n = []
     for n, values in zip(schedule, xi2d):
         two_dim = SSFCurve(

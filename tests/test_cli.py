@@ -128,6 +128,17 @@ def test_coarse_grid_exits_2(tmp_path, profile_file, capsys):
     assert "-12" in err  # the unresolved interval is named
 
 
+@pytest.mark.parametrize("kind", ("gaussian", "sech2"))
+def test_wide_profile_exits_2_at_the_oscillation_gate(tmp_path, profile_file, capsys, kind):
+    # a grid over L of about 7.5e5 is built, and then cannot resolve nu = 12
+    descriptor = {"kind": kind, "amplitude": 1.0, "width": 1e5}
+    code = main(["ssf-1d", "--profile", profile_file(descriptor), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "does not resolve oscillations" in err
+    assert "(interval -12 .. 12)" in err
+
+
 def test_ssf2d_constant_input(tmp_path, profile_file):
     out = str(tmp_path / "two")
     code = main([

@@ -36,9 +36,8 @@ from wittenlab import (
     phase_curve,
 )
 
-from wittenlab import determinants
-from wittenlab.determinants import det2_semiseparable_bound, semiseparable_sweep
-from wittenlab.discretize import MollifiedBSFamily, det2_certificate, det2_sweep
+from wittenlab import determinants, discretize
+from wittenlab.discretize import MollifiedBSFamily, det2_sweep
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 
@@ -233,8 +232,8 @@ def test_det2_semiseparable_passes_a_zero_pivot():
     weights = np.full(N, 0.3 + 0j)
     weights[0] = -1.0
     gaps = np.full(N - 1, 0.5)
-    values = det2_semiseparable(weights, gaps, [1.0], [0.0], (1.0, 0.4, 0.2))
-    assert values.shape == (1, 1)
+    values, points, bound = det2_semiseparable(weights, gaps, [1.0], [0.0], (1.0, 0.4, 0.2))
+    assert values.shape == (1, 1) and points.shape == bound.shape == (1,)
     dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.0, (1.0, 0.4, 0.2)))
     assert_allclose(dense, 0.16617922990364423, rtol=1e-12)
     assert_allclose(values[0, 0], 0.16617922990364423, rtol=1e-12)
@@ -250,7 +249,7 @@ def test_det2_semiseparable_zero_pivot_on_a_block_boundary(node):
     weights[node] = -1.0
     weights[node + 1:] = 0.3 - 0.1j
     gaps = np.full(N - 1, 0.5)
-    values = det2_semiseparable(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
+    values, _, _ = det2_semiseparable(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
     dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.7, (1.0, 0.4, 0.2)))
     assert np.isfinite(values[0, 0]) and abs(dense) > 1e-3
     assert_allclose(values[0, 0], dense, rtol=1e-12)
@@ -264,7 +263,7 @@ def test_det2_semiseparable_pivot_blocks_leave_double_range():
     weights = np.concatenate(
         (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
     )
-    values = det2_semiseparable(weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
+    values, _, _ = det2_semiseparable(weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
     expected = cmath.exp(sum(cmath.log(1.0 + w) for w in weights) - complex(np.sum(weights)))
     assert_allclose(values[0, 0], expected, rtol=1e-12)
 
@@ -302,7 +301,7 @@ def test_structured_det2_matches_dense(N, side):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         grid = build_grid(profile, N)
-        structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu).values[0]
+        structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu)[0][0]
         dense = _dense_det2(profile, n, grid, nu, side)
         assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
 
@@ -316,9 +315,14 @@ def test_certificate_bounds_the_error_against_dense(N):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         family = MollifiedBSFamily(profile, build_grid(profile, N))
-        # one n per point: the certificate takes one point of each schedule entry
-        values, bound = det2_certificate(det2_sweep(family, [n] * len(nu), nu), range(len(nu)))
-        assert np.array_equal(values, det2_sweep(family, [n], nu).values[0])
+        # one nu per sweep, which is then its check point.  It is given three
+        # times: numpy rounds a complex product on a one-element array
+        # differently, so a one-lane sweep can differ from a wider one in the
+        # last bit; argmin takes the first of the three
+        sweeps = [det2_sweep(family, [n], np.repeat(nu[k], 3)) for k in range(len(nu))]
+        values = np.array([values[0, 0] for values, _, _ in sweeps])
+        bound = np.array([bound[0] for _, _, bound in sweeps])
+        assert np.array_equal(values, det2_sweep(family, [n], nu)[0][0])
         dense = _dense_det2(profile, n, family.grid, nu, "upper")
         error = np.abs(values - dense) / np.abs(dense)
         assert np.all(error <= bound), f"{kind}({sign},{width}) n={n}"
@@ -327,25 +331,62 @@ def test_certificate_bounds_the_error_against_dense(N):
     assert worst < 1e-9
 
 
+def _kept_checkpoints(monkeypatch):
+    """The block checkpoints of every sweep run from here on, in call order."""
+    kept = []
+
+    def keeping(*args):
+        coef, checkpoints, exponents = lifted_sweep(*args)
+        kept.append(checkpoints.copy())
+        return coef, checkpoints, exponents
+
+    lifted_sweep = determinants._lifted_sweep
+    monkeypatch.setattr(determinants, "_lifted_sweep", keeping)
+    return kept
+
+
 def test_sweep_is_bitwise_the_same_in_shorter_transition_runs(monkeypatch):
     # 24 lanes take each block's transitions in one run of 32 nodes; runs of
     # 1 and of 21 (then 11) nodes compute the same entries one by one
     family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 100))
     nu = np.linspace(-12.0, 12.0, 8)
+    checkpoints = _kept_checkpoints(monkeypatch)
     whole = det2_sweep(family, (2, 8, 32), nu)
     for run in (1, 21):
         monkeypatch.setattr(determinants, "_TRANSITION_ENTRIES", run * 24)
         split = det2_sweep(family, (2, 8, 32), nu)
-        assert split.values.tobytes() == whole.values.tobytes()
-        assert split.checkpoints.tobytes() == whole.checkpoints.tobytes()
+        for part, expected in zip(split, whole):
+            assert part.tobytes() == expected.tobytes()
+        assert checkpoints[-1].tobytes() == checkpoints[0].tobytes()
 
 
-def _sequential_certificate(sweep, rows, columns):
-    """The sweep of the lanes (rows[k], columns[k]) run again node by node from (1, 0, 0),
-    rescaled after each block, with each node's products recorded, and its bound."""
-    u, dx, block = sweep.weights, sweep.gaps, determinants._BLOCK
-    rates, waves = sweep.rates[rows], sweep.waves[columns]
-    coef = sweep.coef[:, rows, columns]
+def _swept_inputs(monkeypatch, family, schedule, nu):
+    """det2_sweep's (values, points, bound), and the det2_semiseparable arguments it swept."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return det2_semiseparable(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(discretize, "det2_semiseparable", recorded)
+        certificate = det2_sweep(family, schedule, nu)
+    return calls[0], certificate
+
+
+def _sequential_certificate(args, rows, columns):
+    """The sweep of det2_semiseparable(*args) at the lanes (rows[k], columns[k]) run again
+    node by node from (1, 0, 0), rescaled after each block, with each node's products
+    recorded, and its bound."""
+    weights, gaps, rates, waves, coefficients = args
+    block = determinants._BLOCK
+    u = np.asarray(weights, dtype=complex)
+    dx = np.asarray(gaps, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    waves = np.asarray(waves, dtype=float)
+    shape = (len(rates), len(waves))
+    coef = np.array([np.broadcast_to(c, shape)[rows, columns] for c in coefficients], dtype=complex)
+    rates, waves = rates[rows], waves[columns]
     N, K = len(u), len(rates)
     fall = np.exp(-np.multiply.outer(dx, rates))
     theta = np.multiply.outer(dx, waves)
@@ -376,32 +417,37 @@ def _sequential_certificate(sweep, rows, columns):
     return values, bound
 
 
-def assert_certificate_is_the_sequential_record(sweep, rows, columns, certificate=None):
-    values, bound = certificate or det2_semiseparable_bound(sweep, rows, columns)
-    expected_values, expected_bound = _sequential_certificate(sweep, rows, columns)
+def assert_certificate_is_the_sequential_record(args, certificate):
+    """The value at each rate's check point, and its bound, as the sequential sweep gives them."""
+    values, points, bound = certificate
+    rows = np.arange(len(points))
+    expected_values, expected_bound = _sequential_certificate(args, rows, points)
     assert np.all(np.isfinite(bound))
-    assert values.tobytes() == expected_values.tobytes()
+    assert values[rows, points].tobytes() == expected_values.tobytes()
     assert bound.tobytes() == expected_bound.tobytes()
 
 
 @pytest.mark.parametrize("N", (64, 400))
-def test_certificate_replay_is_the_sequential_record(N):
-    # every shape, every n at the points of test_structured_det2_matches_dense
+def test_certificate_replay_is_the_sequential_record(N, monkeypatch):
+    # every shape, every n at the points of test_structured_det2_matches_dense,
+    # one point per sweep, so that it is every n's check point
     nu = np.array([-12.0, 0.5, 6.0])
-    rows, columns = np.divmod(np.arange(len(MOLLIFIERS) * len(nu)), len(nu))
     for kind, sign, width in SHAPES:
         profile = builtin_profile(kind, sign, width)
-        sweep = det2_sweep(MollifiedBSFamily(profile, build_grid(profile, N)), MOLLIFIERS, nu)
-        assert_certificate_is_the_sequential_record(sweep, rows, columns)
+        family = MollifiedBSFamily(profile, build_grid(profile, N))
+        for k in range(len(nu)):
+            args, certificate = _swept_inputs(monkeypatch, family, MOLLIFIERS, nu[k : k + 1])
+            assert_certificate_is_the_sequential_record(args, certificate)
 
 
-def test_certificate_replay_is_the_sequential_record_at_the_default_check_points():
+def test_certificate_replay_is_the_sequential_record_at_the_default_check_points(monkeypatch):
     nu = np.linspace(-12.0, 12.0, 401)
     schedule = (2, 4, 8, 16, 32)
-    sweep = det2_sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 400)), schedule, nu)
-    points = np.argmin(np.abs(sweep.values), axis=1)
-    certificate = det2_certificate(sweep, points)
-    assert_certificate_is_the_sequential_record(sweep, range(len(schedule)), points, certificate)
+    family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 400))
+    args, certificate = _swept_inputs(monkeypatch, family, schedule, nu)
+    values, points, _ = certificate
+    assert np.array_equal(points, np.argmin(np.abs(values), axis=1))
+    assert_certificate_is_the_sequential_record(args, certificate)
 
 
 def test_certificate_bound_is_finite_through_a_zero_pivot_and_inf_past_double_range():
@@ -411,19 +457,22 @@ def test_certificate_bound_is_finite_through_a_zero_pivot_and_inf_past_double_ra
     weights[31] = -1.0
     weights[32:] = 0.3 - 0.1j
     gaps = np.full(N - 1, 0.5)
-    sweep = semiseparable_sweep(weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
-    values, bound = det2_semiseparable_bound(sweep, [0], [0])
+    args = (weights, gaps, [1.0], [0.7], (1.0, 0.4, 0.2))
+    certificate = det2_semiseparable(*args)
+    values, _, bound = certificate
     dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.7, (1.0, 0.4, 0.2)))
-    assert abs(values[0] - dense) <= bound[0] * abs(dense) and bound[0] < 1e-12
-    assert_certificate_is_the_sequential_record(sweep, [0], [0])
+    assert abs(values[0, 0] - dense) <= bound[0] * abs(dense) and bound[0] < 1e-12
+    assert_certificate_is_the_sequential_record(args, certificate)
     # blocks whose pivot products leave double range are swept again node by
     # node; the bound does not follow that rescue, and vouches for nothing
     weights = np.concatenate(
         (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
     )
     args = (weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
-    values, bound = det2_semiseparable_bound(semiseparable_sweep(*args), [0], [0])
-    assert values[0] == det2_semiseparable(*args)[0, 0]
+    values, points, bound = det2_semiseparable(*args)
+    expected = cmath.exp(sum(cmath.log(1.0 + w) for w in weights) - complex(np.sum(weights)))
+    assert points[0] == 0
+    assert_allclose(values[0, 0], expected, rtol=1e-12)
     assert bound[0] == np.inf
 
 
@@ -433,6 +482,6 @@ def test_structured_det2_does_not_overflow(side):
     grid = build_grid(GAUSS, 400)
     assert 2 * 256 * grid.L > 709.0
     nu = np.linspace(-12.0, 12.0, 9)
-    structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu).values[0]
+    structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu)[0][0]
     assert np.all(np.isfinite(structured))
     assert_allclose(structured, _dense_det2(GAUSS, 256, grid, nu, side), rtol=1e-12)

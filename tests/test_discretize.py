@@ -88,6 +88,15 @@ def test_build_grid_compact_support_radius():
     assert build_grid(bump, 64).L == 2.0
 
 
+@pytest.mark.parametrize("kind", ("gaussian", "sech2"))
+def test_build_grid_accepts_a_wide_profile(kind):
+    # L is about 7.5e5 here; the weights' sum is held to 2L relatively, since
+    # its rounding grows with L
+    grid = build_grid(builtin_profile(kind, 1.0, 1e5), 400)
+    assert grid.L > 1e5
+    assert abs(float(np.sum(grid.weights)) - 2.0 * grid.L) <= 1e-12 * 2.0 * grid.L
+
+
 def test_build_grid_validation():
     with pytest.raises(ValueError):
         build_grid(GAUSS, 4)

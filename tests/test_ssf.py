@@ -8,8 +8,6 @@ collapse to the elementary value c/(-z), which pins the cell weights
 and tail handling before the determinant pipeline enters.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -115,24 +113,24 @@ def _count_dense_det2(monkeypatch):
 def _record_bounds(monkeypatch):
     bounds = []
 
-    def recorded(sweep, points):
-        values, bound = certificate(sweep, points)
+    def recorded(family, schedule, nu):
+        values, points, bound = sweep(family, schedule, nu)
         bounds.extend(bound)
-        return values, bound
+        return values, points, bound
 
-    certificate = ssf.det2_certificate
-    monkeypatch.setattr(ssf, "det2_certificate", recorded)
+    sweep = ssf.det2_sweep
+    monkeypatch.setattr(ssf, "det2_sweep", recorded)
     return bounds
 
 
 def _force_fallback(monkeypatch):
-    # every bound inf: the certificate vouches for no n
-    def unvouched(sweep, points):
-        values, bound = certificate(sweep, points)
-        return values, np.full_like(bound, np.inf)
+    # every bound inf: the sweep vouches for no n
+    def unvouched(family, schedule, nu):
+        values, points, bound = sweep(family, schedule, nu)
+        return values, points, np.full_like(bound, np.inf)
 
-    certificate = ssf.det2_certificate
-    monkeypatch.setattr(ssf, "det2_certificate", unvouched)
+    sweep = ssf.det2_sweep
+    monkeypatch.setattr(ssf, "det2_sweep", unvouched)
 
 
 def test_sweep_spot_check_falls_back_to_one_dense_det2(monkeypatch):
@@ -224,16 +222,19 @@ def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
     if corruption == "perturbed":
         # every value 1e-6 off; the check looks where |det2| is smallest
         corrupt = lambda values: values * (1.0 + 1e-6)
-        values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu).values[0]
+        values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0][0]
         refused = float(nu[np.argmin(np.abs(values))])
     else:
         # a NaN at one point; the check looks there first
         corrupt = lambda values: np.where(np.arange(values.shape[-1]) == 40, np.nan, values)
         refused = float(nu[40])
     def corrupted(family, schedule, nu):
-        # the values alone: the certificate replays the sweep's own checkpoints
-        sweep = exact(family, schedule, nu)
-        return dataclasses.replace(sweep, values=corrupt(sweep.values))
+        # the bound is of the sweep's own arithmetic, which the corruption
+        # bypasses: it is forced to vouch for nothing, so that the dense check
+        # runs at the corrupted values' check points
+        values, _, bound = exact(family, schedule, nu)
+        values = corrupt(values)
+        return values, np.argmin(np.abs(values), axis=1), np.full_like(bound, np.inf)
 
     monkeypatch.setattr(ssf, "det2_sweep", corrupted)
     with pytest.raises(RefinementNeededError, match="disagrees with the dense det2") as err:
@@ -244,22 +245,21 @@ def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
 @pytest.mark.parametrize("block, part", ((5, 0), (5, 1), (-1, 0)))
 def test_a_broken_checkpoint_link_falls_back_to_one_dense_det2(monkeypatch, block, part):
     # one ulp off in one part of one checkpoint of n = 4's checked lane (the
-    # final b at block -1): a replayed block no longer ends where the next
-    # starts, so n = 4 is not vouched for; its dense det2 agrees with the
-    # sweep's values, which the flip leaves as they were
+    # final b at block -1), as the replay reads it: a replayed block no longer
+    # ends where the next starts, so n = 4 is not vouched for; its dense det2
+    # agrees with the sweep's values, which the flip leaves as they were
     nu = np.linspace(-8.0, 8.0, 161)
     schedule = (2, 4, 8)
     expected = ssf_mollified(GAUSS, schedule, nu, 300)
-    exact = ssf.det2_sweep
+    replay = determinants._replay
 
-    def flipped(family, schedule, nu):
-        sweep = exact(family, schedule, nu)
-        point = np.argmin(np.abs(sweep.values[1]))
-        checkpoint = sweep.checkpoints.real[block, part, 1]
-        checkpoint[point] = np.nextafter(checkpoint[point], np.inf)
-        return sweep
+    def flipped(u, dx, rates, waves, coef, checkpoints, exponents):
+        # checkpoints (blocks + 1, 3, lanes) of the checked lanes, one per n
+        checkpoint = checkpoints.real[block, part]
+        checkpoint[1] = np.nextafter(checkpoint[1], np.inf)
+        return replay(u, dx, rates, waves, coef, checkpoints, exponents)
 
-    monkeypatch.setattr(ssf, "det2_sweep", flipped)
+    monkeypatch.setattr(determinants, "_replay", flipped)
     dense_calls = _count_dense_det2(monkeypatch)
     bounds = _record_bounds(monkeypatch)
     curves = ssf_mollified(GAUSS, schedule, nu, 300)
@@ -492,8 +492,6 @@ def test_pushnitski_validation():
         pushnitski(1.0, 0.0)
     with pytest.raises(ValueError):
         pushnitski(1.0, -2.0)
-    with pytest.raises(ValueError):
-        pushnitski(1.0, 1.0, t_points=2)
     with pytest.raises(TypeError):
         pushnitski("xi", 1.0)
     with pytest.raises(ValueError, match="got 0"):
