@@ -25,7 +25,7 @@ import numpy as np
 from .determinants import NearSingularError, RefinementNeededError
 from .invariants import INVARIANTS
 from .profiles import PotentialProfile, builtin_profile, c0, profile_from_descriptor
-from .ssf import CoverageError, ssf_2d_curve, ssf_mollified
+from .ssf import CoverageError, _nu_grid, ssf_2d_curve, ssf_mollified
 from .witten import witten_index
 
 __all__ = ["main"]
@@ -70,23 +70,22 @@ def _load_profile(args) -> PotentialProfile:
     return profile_from_descriptor(descriptor)
 
 
-def _nu_points(args) -> int:
-    """The sweep node count; unset (witten, verify) means nodes + 1."""
+def _nu_points(args) -> Optional[int]:
+    """The sweep node count, checked; unset (witten, verify) stays None, the library's default."""
     if args.nu_max <= 0.0:
         raise ValueError("--nu-max must be positive")
-    points = args.nodes + 1 if args.nu_points is None else args.nu_points
-    if points < 3:
+    if args.nu_points is not None and args.nu_points < 3:
         raise ValueError("--nu-points must be at least 3")
-    return points
+    return args.nu_points
 
 
-def _nu_grid(args) -> np.ndarray:
-    return np.linspace(-args.nu_max, args.nu_max, _nu_points(args))
+def _sweep_grid(args) -> np.ndarray:
+    return _nu_grid(args.nu_max, _nu_points(args), args.nodes)
 
 
 def cmd_ssf1d(args) -> int:
     profile = _load_profile(args)
-    curve = ssf_mollified(profile, args.n, _nu_grid(args), args.nodes)
+    curve = ssf_mollified(profile, args.n, _sweep_grid(args), args.nodes)
     sidecar = {
         "c0": c0(profile),
         "endpoint_magnitude": curve.endpoint_magnitude,
@@ -114,7 +113,7 @@ def cmd_ssf2d(args) -> int:
     if args.constant_input:
         curve = ssf_2d_curve(c0(profile), lam_grid)
     else:
-        base = ssf_mollified(profile, args.n, _nu_grid(args), args.nodes)
+        base = ssf_mollified(profile, args.n, _sweep_grid(args), args.nodes)
         curve = ssf_2d_curve(base, lam_grid, eta_correction=not args.keep_eta_term)
     spread = float(np.max(curve.values) - np.min(curve.values))
     if args.format == "csv":

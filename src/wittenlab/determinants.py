@@ -141,7 +141,6 @@ _BLOCK = 32
 # more lanes than _TRANSITION_ENTRIES / _BLOCK, each block's transitions are
 # computed for shorter runs of nodes, which leaves room for the block checkpoints.
 _TRANSITION_ENTRIES = 1 << 15
-_HUGE = np.finfo(float).max
 _LN2 = math.log(2.0)
 
 
@@ -153,13 +152,13 @@ def _cis(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rescale(state: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+def _rescale(state: np.ndarray, exponent: np.ndarray) -> None:
     """Scale each lane of state by 2^-e, with 2^e just above its max-abs part; add e to exponent.
 
     state is (3, *lanes) and exponent has the lanes' shape.  A power of
     two scales without rounding, so where and how often the state is
-    rescaled never changes its digits.  Returns the lanes whose max-abs
-    part is 0 or not finite; these are left as they were.
+    rescaled never changes its digits.  A lane whose max-abs part is 0
+    or not finite is left as it was.
     """
     parts = np.abs(state.view(float))
     size = np.maximum(parts[0], parts[1])
@@ -172,23 +171,22 @@ def _rescale(state: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     for part in state.view(float):
         part *= factor
     exponent += e
-    return ~((size > 0.0) & (size <= _HUGE))
 
 
 def _transitions(dx, rates, waves, out=None):
     """Each node's transitions (e^((i w - n) dx), e^(-2 n dx)) on the lanes rates x waves broadcast.
 
     Every entry is computed by the same elementwise operations whatever
-    the lanes' shape, so a sweep, the redo of some of its lanes and the
-    replay of its blocks take the same digits.  out receives the
-    complex transitions of a_0; a_1's are real and depend on the rate alone.
+    the lanes' shape, so a sweep and the replay of its blocks take the
+    same digits.  out receives the complex transitions of a_0; a_1's are
+    real and depend on the rate alone.
     """
     fall = np.exp(-np.multiply.outer(dx, rates))
     wave = np.multiply(fall, _cis(np.multiply.outer(dx, waves)), out=out)
     return wave, fall * fall
 
 
-def _lifted_nodes(weights, steps, coef, state, exponent=None, record=None) -> None:
+def _lifted_nodes(weights, steps, coef, state, record=None) -> None:
     """Run the lifted recurrence over consecutive nodes, in place on state = (b, a_0, a_1).
 
     steps = (waves, decays) holds the transitions after each node:
@@ -196,8 +194,7 @@ def _lifted_nodes(weights, steps, coef, state, exponent=None, record=None) -> No
     multiplies a_1 and is real, broadcast against the lanes.  A block
     that ends at the last node has one step fewer than it has weights.
     weights[j] is a number, or an array broadcast against the lanes.
-    With an exponent array given, the state is rescaled after every
-    node.  With a record array given, record[j] receives node j's
+    With a record array given, record[j] receives node j's
     products (c_near b, c_osc a_0, c_far a_1) of the state it starts from.
     """
     waves, decays = steps
@@ -221,8 +218,6 @@ def _lifted_nodes(weights, steps, coef, state, exponent=None, record=None) -> No
         a += v
         a_0 *= waves[j]
         a_1 *= decays[j]
-        if exponent is not None:
-            _rescale(state, exponent)
 
 
 def _sweep_inputs(weights, gaps, rates, waves):
@@ -247,9 +242,9 @@ def _lifted_sweep(u, dx, rates, waves, coefficients):
     2^exponents[i]; checkpoints[-1] and exponents[-1] are the final
     state.  Each block is swept in place on the checkpoint after its
     own, with its transitions computed for runs of nodes that keep
-    _TRANSITION_ENTRIES complex entries at most, and the lanes it leaves
-    not finite or 0 are swept again from its checkpoint, rescaled after
-    every node.
+    _TRANSITION_ENTRIES complex entries at most, and then rescaled.  A
+    lane that overflows within a block stays not finite, and one that
+    underflows to 0 stays 0.
     """
     N = len(u)
     shape = np.broadcast_shapes(rates.shape, waves.shape)
@@ -277,16 +272,7 @@ def _lifted_sweep(u, dx, rates, waves, coefficients):
             gaps = dx[first:last]
             steps = _transitions(gaps, rates, waves, out=buffer[: len(gaps)])
             _lifted_nodes(u[first:last], steps, coef, state)
-        redo = _rescale(state, exponent)
-        if redo.any():
-            again, shift = checkpoints[i][:, redo], exponents[i][redo]
-            steps = _transitions(
-                dx[start:stop],
-                np.broadcast_to(rates, shape)[redo],
-                np.broadcast_to(waves, shape)[redo],
-            )
-            _lifted_nodes(u[start:stop], steps, coef[:, redo], again, shift)
-            state[:, redo], exponent[redo] = again, shift
+        _rescale(state, exponent)
     return coef, checkpoints, exponents
 
 
@@ -320,9 +306,9 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> tuple:
     transitions have modulus at most 1, e^(i w dx) is shared by every
     rate, and the real e^(-2 n dx) by every wave.  After each block of
     _BLOCK nodes every matrix's state is rescaled by a power of two near
-    its max-abs part, whose log is added to the result; a block whose
-    end state is not finite or is 0 is swept again for those matrices
-    alone, rescaled after every node.
+    its max-abs part, whose log is added to the result.  A matrix whose
+    state overflows within a block gets a value that is not finite, and
+    one whose state underflows to 0 gets 0.
 
     Returns (values, points, bound).  values[s, p] is det2 at
     (rates[s], waves[p]).  points[s] is each rate's check point, the
@@ -339,15 +325,20 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> tuple:
     sweep's power of two, must end bit for bit on the checkpoint after
     it; then the replayed blocks chain into one sweep from (1, 0, 0)
     that ends on the sweep's own final state.  bound is inf on a lane
-    with a broken link, which every lane the sweep redid with the
-    per-node rescale has, and where it is not finite.
+    with a broken link, and where it is not finite, as on a lane whose
+    state left double range.
     """
     u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
+    P = len(waves)
+    # numpy rounds a complex product on a one-element array differently than
+    # on a longer one, so a lone lane is swept beside a copy of itself, which
+    # is then dropped
+    swept = np.repeat(waves, 2) if len(rates) * P == 1 else waves
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         coef, checkpoints, exponents = _lifted_sweep(
-            u, dx, rates[:, None], waves[None, :], coefficients
+            u, dx, rates[:, None], swept[None, :], coefficients
         )
-        values = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])
+        values = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])[:, :P]
         points = np.argmin(np.abs(values), axis=1)
         # The bound is of values[s, points[s]] itself: the final allowance of
         # _running_error_bound (_ELEM and u per step of the final exp) covers
@@ -384,6 +375,13 @@ def _replay(u, dx, rates, waves, coef, checkpoints, exponents):
     """
     N, K = len(u), len(rates)
     blocks = len(checkpoints) - 1
+    if blocks * K == 1:
+        # as in det2_semiseparable, never one element: a lone lane is replayed
+        # beside a copy of itself
+        rates, waves, coef, checkpoints, exponents = (
+            np.repeat(a, 2, axis=-1) for a in (rates, waves, coef, checkpoints, exponents)
+        )
+    lanes = len(rates)
     nodes = blocks * _BLOCK
 
     def by_step(array):
@@ -393,12 +391,12 @@ def _replay(u, dx, rates, waves, coef, checkpoints, exponents):
 
     weights = np.zeros(nodes, dtype=complex)
     weights[:N] = u
-    wave = np.ones((nodes, K), dtype=complex)
-    decay = np.ones((nodes, K))
+    wave = np.ones((nodes, lanes), dtype=complex)
+    decay = np.ones((nodes, lanes))
     _, decay[: N - 1] = _transitions(dx, rates, waves, out=wave[: N - 1])
     state = np.ascontiguousarray(checkpoints[:-1].swapaxes(0, 1))
     lanes_coef = np.broadcast_to(coef[:, None], state.shape).copy()
-    record = np.empty((blocks, _BLOCK, 3, K), dtype=complex)
+    record = np.empty((blocks, _BLOCK, 3, lanes), dtype=complex)
     _lifted_nodes(
         by_step(weights)[..., None],
         (by_step(wave), by_step(decay)),
@@ -407,11 +405,11 @@ def _replay(u, dx, rates, waves, coef, checkpoints, exponents):
         record=record.transpose(1, 2, 0, 3),
     )
     factor = np.ldexp(1.0, exponents[:-1] - exponents[1:])
-    ends = state.view(float).reshape(3, blocks, K, 2) * factor[..., None]
+    ends = state.view(float).reshape(3, blocks, lanes, 2) * factor[..., None]
     starts = np.ascontiguousarray(checkpoints[1:].swapaxes(0, 1))
     same = (ends.view(np.uint64) == starts.view(np.uint64).reshape(ends.shape)).all(axis=-1)
     same[1:, -1] = True
-    return record.reshape(nodes, 3, K)[:N], same.all(axis=(0, 1))
+    return record.reshape(nodes, 3, lanes)[:N, :, :K], same.all(axis=(0, 1))[:K]
 
 
 # Unit roundoff, and the first-order error constants of _running_error_bound.
@@ -548,9 +546,10 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
     contract of a Birman-Schwinger sweep applies: every value is finite
     (a NaN or inf is refused with its nu named); |det2| stays above
     1e-12; the curve starts and ends near det2 = 1 (|det2 - 1| below
-    0.2, the anchor phase and the far-end unwrapped phase within pi/4
-    of 0), else the sweep window is too narrow; and no adjacent phase
-    step reaches pi/2.  In between, the phase may travel any distance.
+    0.2, so the anchor phase lies within arcsin 0.2 of 0, and the
+    far-end unwrapped phase within pi/4 of 0), else the sweep window is
+    too narrow; and no adjacent phase step reaches pi/2.  In between,
+    the phase may travel any distance.
     """
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or len(nu) < 2:
@@ -590,14 +589,6 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
                 interval=(float(nu[0]), float(nu[-1])),
             )
 
-    anchor_phase = float(np.angle(values[0]))
-    if abs(anchor_phase) >= np.pi / 4:
-        raise RefinementNeededError(
-            f"anchor phase {anchor_phase:.3f} at nu = {nu[0]:g} is not near 0; "
-            f"enlarge the sweep window",
-            interval=(float(nu[0]), float(nu[-1])),
-        )
-
     steps = np.angle(values[1:] / values[:-1])
     worst = int(np.argmax(np.abs(steps)))
     if abs(steps[worst]) >= np.pi / 2:
@@ -606,6 +597,7 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
             f"nu = {nu[worst + 1]:g} exceeds pi/2; refine the sweep there",
             interval=(float(nu[worst]), float(nu[worst + 1])),
         )
+    anchor_phase = float(np.angle(values[0]))
     unwrapped = np.concatenate(([anchor_phase], anchor_phase + np.cumsum(steps)))
 
     if abs(float(unwrapped[-1])) >= np.pi / 4:

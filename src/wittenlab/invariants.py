@@ -21,7 +21,7 @@ from .determinants import det2, hs_norm
 from .discretize import MollifiedBSFamily, QuadratureGrid, bs_matrix, build_grid
 from .kernels import SpectralPoint, scattering_matrix
 from .profiles import PotentialProfile, c0
-from .ssf import krein_check_trn, ssf_mollified, trace_identity_eq1
+from .ssf import _nu_grid, krein_check_trn, ssf_mollified, trace_identity_eq1
 
 HS_SLACK = 1.01  # absorbs the Nystrom quadrature error of Hilbert-Schmidt norms
 DET2_TOL = 1e-3
@@ -111,8 +111,7 @@ def _mollified_decay(profile, N, *_):
 
 
 def _mollifier_limit(profile, N, nu_max, nu_points):
-    grid = np.linspace(-nu_max, nu_max, nu_points)
-    curves = ssf_mollified(profile, (2, 4, 8, 16, 32), grid, N)
+    curves = ssf_mollified(profile, (2, 4, 8, 16, 32), _nu_grid(nu_max, nu_points, N), N)
     errors = origin_errors(profile, curves)
     monotone = all(b <= a * 1.000001 + 1e-12 for a, b in zip(errors, errors[1:]))
     listed = ", ".join(f"{e:.2e}" for e in errors)

@@ -162,6 +162,11 @@ def _check_threads(threads: Optional[int]) -> None:
         raise ValueError("threads must be at least 1")
 
 
+def _nu_grid(nu_max: float, nu_points: Optional[int], N: int) -> np.ndarray:
+    """The symmetric sweep grid on [-nu_max, nu_max], of nu_points points, or N + 1 if unset."""
+    return np.linspace(-nu_max, nu_max, N + 1 if nu_points is None else nu_points)
+
+
 _SPOT_CHECK_TOL = 1e-9
 
 
@@ -663,16 +668,14 @@ def krein_check_trn(
         return TraceCheckReport(lhs=0j, rhs=0j, residual=0.0, params=params)
 
     box_half_length = 2.0 * build_grid(profile, N).L
-    if nu_points is None:
-        nu_points = N + 1
-    params.update({"box_half_length": box_half_length, "nu_points": nu_points})
+    nu_grid = _nu_grid(nu_max, nu_points, N)
+    params.update({"box_half_length": box_half_length, "nu_points": len(nu_grid)})
 
     pair = fourier_pair(profile, n, box_half_length, M)
     band, band_bound = trace_band(pair, z)
     params.update({"band": band, "band_bound": band_bound})
     lhs = trace_gz_diff(pair, z) / (2.0 * z)
 
-    nu_grid = np.linspace(-nu_max, nu_max, nu_points)
     curve = ssf_mollified(profile, n, nu_grid, N, threads=threads)
     # g_z'(nu) = -z (nu^2 - z)^(-3/2), so (1/2z) * integral(xi g') = -(1/2) integral(xi w)
     rhs = -_half_weight_integral(curve, z)
@@ -732,13 +735,11 @@ def trace_identity_eq1(
     elif profile.l1_norm == 0.0:
         return TraceCheckReport(lhs=0j, rhs=0j, residual=0.0, params=params)
     else:
-        if nu_points is None:
-            nu_points = N + 1
-        nu_grid = np.linspace(-nu_max, nu_max, nu_points)
+        nu_grid = _nu_grid(nu_max, nu_points, N)
         curve = ssf_mollified(profile, n, nu_grid, N, threads=threads)
         evaluator = _extended_evaluator(curve)
         rhs = _half_weight_integral(curve, z)
-        params["nu_points"] = nu_points
+        params["nu_points"] = len(nu_grid)
 
     edges, mids = _lambda_cells(nu_max, _LAMBDA_CELLS)
     weights = 1.0 / (edges[:-1] - z) - 1.0 / (edges[1:] - z)

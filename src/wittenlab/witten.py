@@ -35,6 +35,7 @@ from .ssf import (
     _check_threads,
     _extended_evaluator,
     _lambda_grid,
+    _nu_grid,
     pushnitski,
     ssf_mollified,
 )
@@ -187,10 +188,8 @@ def witten_index(
             provenance=provenance,
         )
 
-    if nu_points is None:
-        nu_points = N + 1
-    nu_grid = np.linspace(-nu_max, nu_max, nu_points)
-    provenance["nu_points"] = nu_points
+    nu_grid = _nu_grid(nu_max, nu_points, N)
+    provenance["nu_points"] = len(nu_grid)
 
     floor = min(1e-6, 1e-3 * float(np.min(np.abs(lam_sched))))
     lam_grid = _lambda_grid(nu_max, _LAMBDA_CELLS, floor)

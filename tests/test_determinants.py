@@ -194,6 +194,16 @@ def test_phase_curve_decay_contracts():
         phase_curve(nu, det2_values=far_from_one)
 
 
+def test_phase_curve_refuses_a_winding_left_at_the_far_end():
+    # det2 = e^(i theta) with theta from 0 to 2 pi: both ends sit at 1 and
+    # every step is small, but the unwrapped phase ends a full turn up
+    nu = np.linspace(-1.0, 1.0, 401)
+    values = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 401))
+    with pytest.raises(RefinementNeededError, match="far-end phase 6.283") as err:
+        phase_curve(nu, det2_values=values)
+    assert err.value.interval == (-1.0, 1.0)
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 def test_phase_curve_refuses_a_non_finite_value(bad):
     # a NaN compares false in every contract check, and an inf has no phase
@@ -223,6 +233,18 @@ def _dense_semiseparable(weights, gaps, rate, wave, coefficients):
     below = c_osc * np.exp(1j * wave * d) - c_far * np.exp(-rate * d)
     F = np.where(d < 0.0, near, np.where(d > 0.0, below, c_near + 0j))
     return np.asarray(weights, dtype=complex)[:, None] * F
+
+
+def test_det2_semiseparable_checks_its_shapes():
+    coefficients = (1.0, 0.4, 0.2)
+    with pytest.raises(ValueError, match="need N weights and N - 1 gaps"):
+        det2_semiseparable(np.ones(5), np.ones(5), [1.0], [0.0], coefficients)
+    with pytest.raises(ValueError, match="need N weights and N - 1 gaps"):
+        det2_semiseparable(np.ones((2, 5)), np.ones(4), [1.0], [0.0], coefficients)
+    with pytest.raises(ValueError, match="rates and waves must be 1-D"):
+        det2_semiseparable(np.ones(5), np.ones(4), [[1.0]], [0.0], coefficients)
+    with pytest.raises(ValueError, match="rates and waves must be 1-D"):
+        det2_semiseparable(np.ones(5), np.ones(4), [1.0], 0.0, coefficients)
 
 
 def test_det2_semiseparable_passes_a_zero_pivot():
@@ -255,17 +277,29 @@ def test_det2_semiseparable_zero_pivot_on_a_block_boundary(node):
     assert_allclose(values[0, 0], dense, rtol=1e-12)
 
 
+# c_osc = c_far = 0 leaves I + T upper triangular with pivots 1 + c_near w_k,
+# whatever the wave.  At c_near = 1 the first two blocks of 32 pivots
+# (1 +- 1e12 i) overflow as products and the last two (1e-12 i) underflow:
+# the state leaves double range within a block, before the rescale at its end.
+# At c_near = 1e-8 each block's product of pivots 1 +- 1e4 i stays near 1e128,
+# which the rescale brings back, and det2 is about 1e256.
+RANGE_WEIGHTS = np.concatenate(
+    (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
+)
+RANGE_ARGS = (RANGE_WEIGHTS, np.full(127, 0.1), [1e3] * 3, [0.0, 0.5],
+              (np.array([[1.0], [1e-8], [1.0]]), 0.0, 0.0))
+RANGE_DET2 = cmath.exp(
+    sum(cmath.log(1.0 + 1e-8 * w) for w in RANGE_WEIGHTS) - 1e-8 * complex(np.sum(RANGE_WEIGHTS))
+)
+
+
 def test_det2_semiseparable_pivot_blocks_leave_double_range():
-    # c_osc = c_far = 0 leaves I + T upper triangular with pivots 1 + w_k.
-    # The first two blocks of 32 pivots (1 +- 1e12 i) overflow as products,
-    # the last two (1e-12 i) underflow, and det2 itself is about e^64; the
-    # fast decay keeps the carried state small across the tiny pivots
-    weights = np.concatenate(
-        (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
-    )
-    values, _, _ = det2_semiseparable(weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
-    expected = cmath.exp(sum(cmath.log(1.0 + w) for w in weights) - complex(np.sum(weights)))
-    assert_allclose(values[0, 0], expected, rtol=1e-12)
+    # the matrices that leave double range come back not finite, and the one
+    # beside them in the same sweep keeps its value
+    values, _, _ = det2_semiseparable(*RANGE_ARGS)
+    assert values.shape == (3, 2)
+    assert not np.any(np.isfinite(values[[0, 2]]))
+    assert_allclose(values[1], RANGE_DET2, rtol=1e-12)
 
 
 MOLLIFIERS = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -315,11 +349,8 @@ def test_certificate_bounds_the_error_against_dense(N):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         family = MollifiedBSFamily(profile, build_grid(profile, N))
-        # one nu per sweep, which is then its check point.  It is given three
-        # times: numpy rounds a complex product on a one-element array
-        # differently, so a one-lane sweep can differ from a wider one in the
-        # last bit; argmin takes the first of the three
-        sweeps = [det2_sweep(family, [n], np.repeat(nu[k], 3)) for k in range(len(nu))]
+        # one nu per sweep, which is then its check point
+        sweeps = [det2_sweep(family, [n], nu[k : k + 1]) for k in range(len(nu))]
         values = np.array([values[0, 0] for values, _, _ in sweeps])
         bound = np.array([bound[0] for _, _, bound in sweeps])
         assert np.array_equal(values, det2_sweep(family, [n], nu)[0][0])
@@ -329,6 +360,21 @@ def test_certificate_bounds_the_error_against_dense(N):
         worst = max(worst, float(np.max(bound)))
     # a bound, not a bare pass: tight enough to vouch at 1e-9
     assert worst < 1e-9
+
+
+def test_one_rate_sweeps_of_one_block_are_vouched_for():
+    # at N <= 32 a one-rate sweep's replay is one block of one lane, a
+    # one-element array, on which numpy rounds a complex product unlike on a
+    # longer one; padded to two lanes, the replay ends bit for bit on the sweep
+    rng = np.random.default_rng(20)
+    N = 20
+    for _ in range(300):
+        weights = 0.3 * (rng.normal(size=N) + 1j * rng.normal(size=N))
+        gaps = rng.uniform(0.05, 0.5, N - 1)
+        coefficients = tuple(rng.normal(size=3) + 1j * rng.normal(size=3))
+        waves = rng.uniform(-12.0, 12.0, 7)
+        _, _, bound = det2_semiseparable(weights, gaps, [rng.uniform(0.5, 8.0)], waves, coefficients)
+        assert np.isfinite(bound[0])
 
 
 def _kept_checkpoints(monkeypatch):
@@ -463,17 +509,12 @@ def test_certificate_bound_is_finite_through_a_zero_pivot_and_inf_past_double_ra
     dense = det2(_dense_semiseparable(weights, gaps, 1.0, 0.7, (1.0, 0.4, 0.2)))
     assert abs(values[0, 0] - dense) <= bound[0] * abs(dense) and bound[0] < 1e-12
     assert_certificate_is_the_sequential_record(args, certificate)
-    # blocks whose pivot products leave double range are swept again node by
-    # node; the bound does not follow that rescue, and vouches for nothing
-    weights = np.concatenate(
-        (np.full(32, 1e12j), np.full(32, -1e12j), np.full(64, -1.0 + 1e-12j))
-    )
-    args = (weights, np.full(127, 0.1), [1e3], [0.0], (1.0, 0.0, 0.0))
-    values, points, bound = det2_semiseparable(*args)
-    expected = cmath.exp(sum(cmath.log(1.0 + w) for w in weights) - complex(np.sum(weights)))
-    assert points[0] == 0
-    assert_allclose(values[0, 0], expected, rtol=1e-12)
-    assert bound[0] == np.inf
+    # a rate whose matrices leave double range vouches for nothing; the rate
+    # beside it in the same sweep keeps a bound that covers its error
+    values, points, bound = det2_semiseparable(*RANGE_ARGS)
+    assert np.all(points == 0)
+    assert bound[0] == bound[2] == np.inf
+    assert abs(values[1, 0] - RANGE_DET2) <= bound[1] * abs(RANGE_DET2) and bound[1] < 1e-7
 
 
 @pytest.mark.parametrize("side", ("upper", "lower"))

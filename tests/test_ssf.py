@@ -62,6 +62,8 @@ def test_ssf_mollified_grid_validation():
         ssf_mollified(GAUSS, 2, np.array([1.0, 0.0, -1.0]), 200)
     with pytest.raises(ValueError):
         ssf_mollified(GAUSS, 2, np.array([0.0]), 200)
+    with pytest.raises(ValueError, match="schedule must be nonempty"):
+        ssf_mollified(GAUSS, (), np.linspace(-6.0, 6.0, 25), 200)
 
 
 def test_ssf_mollified_converges_at_origin():
@@ -577,6 +579,13 @@ def test_trace_identity_synthetic_constant():
         assert abs(report.lhs - exact) < 1e-10
         assert abs(report.rhs - exact) < 1e-10
         assert report.residual < 1e-10
+
+
+def test_trace_identity_refuses_a_heavy_constant_tail():
+    # at nu_max = 1 the lam cap is 100, and at z = -20 the constant's tail
+    # above it, 0.375 / 120 = 3.1e-3, is more than 10 % of the total 1.9e-2
+    with pytest.raises(CoverageError, match="constant-tail term 3.125e-03"):
+        trace_identity_eq1(GAUSS, 8, -20.0, nu_max=1.0, synthetic_constant=0.375)
 
 
 TAIL_SPANS = (0.5, 4.0, 12.0, 40.0)
