@@ -89,50 +89,63 @@ class PhaseCurve:
     anchor: int
 
 
-def det_complex(matrix: np.ndarray) -> complex:
-    """Determinant of a square complex matrix via LU with partial pivoting.
-
-    numpy.linalg.slogdet returns the unit-modulus phase and the sum of
-    the pivot log-magnitudes, re-exponentiated here, so intermediate
-    pivot products can neither overflow nor underflow; an exactly
-    singular factorization returns 0 rather than raising.
-    """
+def _slogdet(matrix: np.ndarray) -> tuple[complex, float]:
+    """Unit phase and log-magnitude of det(matrix), by LU with partial pivoting."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("array must not contain infs or NaNs")
     phase, log_magnitude = np.linalg.slogdet(a)
-    phase = complex(phase)
-    # saturate rather than raise when the true value leaves double range
+    return complex(phase), float(log_magnitude)
+
+
+def _from_polar(phase: complex, log_magnitude: float) -> complex:
+    """phase e^log_magnitude; beyond double range, inf in each nonzero part of phase, never NaN."""
     if log_magnitude > 709.0:
-        return phase * math.inf
+        return complex(*(part * math.inf if part else 0.0 for part in (phase.real, phase.imag)))
     return phase * math.exp(log_magnitude)
 
 
-def det2(T: np.ndarray, overwrite: bool = False) -> complex:
+def det_complex(matrix: np.ndarray) -> complex:
+    """Determinant of a square complex matrix via LU with partial pivoting.
+
+    numpy.linalg.slogdet returns the unit-modulus phase and the sum of
+    the pivot log-magnitudes, re-exponentiated here, so intermediate
+    pivot products can neither overflow nor underflow; an exactly
+    singular factorization returns 0 rather than raising, and a value
+    beyond double range saturates (_from_polar).
+    """
+    return _from_polar(*_slogdet(matrix))
+
+
+def det2(T: np.ndarray) -> complex:
     """Carleman determinant det2(I + T) = det(I + T) exp(-tr T).
 
     Equals the product of (1 + lambda_k) exp(-lambda_k) over the
     eigenvalues of T.  The trace is taken from the matrix as assembled,
     which is exactly 0 for the triangular Birman-Schwinger matrices, so
     det2 reduces to det(I + T) there with no exponential correction.
-    I + T is formed in one copy of T, or, with overwrite=True, in T
-    itself when T is already a complex array, which then holds I + T;
-    the value is the same either way, bit for bit.
+    I + T is formed in one copy of T.  Where det(I + T) or exp(-tr T)
+    lies beyond double range, the two are multiplied in polar form, and
+    a det2 still beyond range saturates as det_complex does.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    correction = cmath.exp(-complex(np.trace(T)))
+    trace = complex(np.trace(T))
     # adding 0.0 turns -0.0 parts into +0.0, as the identity's zeros would
-    if overwrite:
-        shifted = T
-        shifted += 0.0
-    else:
-        shifted = T + 0.0
+    shifted = T + 0.0
     shifted[np.diag_indices(T.shape[0])] += 1.0
-    return det_complex(shifted) * correction
+    phase, log_magnitude = _slogdet(shifted)
+    if log_magnitude > 709.0 or trace.real < -709.0:
+        return _from_polar(phase * cmath.exp(-1j * trace.imag), log_magnitude - trace.real)
+    return _from_polar(phase, log_magnitude) * cmath.exp(-trace)
+
+
+def _det2_log_magnitude(T: np.ndarray) -> float:
+    """ln |det2(I + T)|, which stays finite where det2 saturates."""
+    return _slogdet(np.eye(len(T)) + T)[1] - np.trace(T).real
 
 
 # Nodes swept between two rescales of the lifted state.

@@ -239,27 +239,18 @@ class MollifiedBSFamily:
         self._row = 1j * (np.sign(phi) * u)
         self._col = u
 
-    def matrix(
-        self, n: int, nu: float, out: Optional[np.ndarray] = None
-    ) -> BirmanSchwingerMatrix:
+    def matrix(self, n: int, nu: float) -> BirmanSchwingerMatrix:
         """The dense matrix at index n and nu + i0, assembled a block of rows at a time.
 
         Each entry takes the same floating-point operations, in the same
         operand order, as the branch formula of the class docstring
         evaluated with full-size temporaries, so the two agree bitwise.
         The decay factor e^(-n|x_i - x_j|), the far-branch product and the
-        near/far mask exist for one block of rows only.  out, a complex
-        (N, N) array, receives the entries in place of a new array, so a
-        caller checking several matrices can reuse one buffer.
+        near/far mask exist for one block of rows only.
         """
         n = _check_mollifier_index(n)
         N = self.grid.N
-        if out is None:
-            entries = np.empty((N, N), dtype=complex)
-        elif out.shape != (N, N) or out.dtype != complex:
-            raise ValueError(f"out must be a complex array of shape {(N, N)}")
-        else:
-            entries = out
+        entries = np.empty((N, N), dtype=complex)
         z = complex(nu)
         x = self.grid.nodes
         c_near, c_osc, c_far = _mollified_coefficients(n, z, 1.0)

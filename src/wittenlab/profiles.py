@@ -1,11 +1,9 @@
 """Perturbation profiles with exact integral metadata.
 
-Everything downstream (kernel phases, trace terms, the closed-form
-reference value) is driven by integrals of the perturbation phi, so the
-builtin profiles carry exact antiderivatives instead of cached
-quadrature: the resolvent phase factor exp(-i*(Phi(x)-Phi(x'))) and the
-reference constant integral(phi)/(2*pi) are then free of quadrature
-error.
+The builtin profiles carry the integrals of the perturbation phi that
+everything downstream needs (total integral, L1 norm, tail radius) in
+closed form instead of cached quadrature, so the reference constant
+integral(phi)/(2*pi) is free of quadrature error.
 """
 
 from __future__ import annotations
@@ -27,12 +25,6 @@ __all__ = [
 _KINDS = ("gaussian", "sech2", "bump")
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_erf_object = np.frompyfunc(math.erf, 1, 1)
-
-
-def _erf(x) -> np.ndarray:
-    """math.erf elementwise, as a float array of x's shape (0-d for a scalar)."""
-    return np.asarray(_erf_object(x), dtype=float)
 
 
 def _erfcinv(y: float) -> float:
@@ -64,11 +56,8 @@ class PotentialProfile:
     Fields
     ------
     phi: callable, vectorized, phi(x) -> array or float.
-    antiderivative: Phi(x) = integral of phi from 0 to x, exact closed
-        form, so Phi(0) = 0.
     total_integral: integral of phi over the whole line.
     l1_norm: integral of |phi|.
-    sup_norm: max |phi|.
     tail_radius: callable eps -> R with integral of |phi| outside
         [-R, R] below eps; monotone nonincreasing in eps.
     """
@@ -78,10 +67,8 @@ class PotentialProfile:
     width: float
     support: Optional[float]
     phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    antiderivative: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     total_integral: float = 0.0
     l1_norm: float = 0.0
-    sup_norm: float = 0.0
     tail_radius: Callable[[float], float] = field(repr=False, default=lambda eps: 0.0)
 
     def descriptor(self) -> dict:
@@ -130,10 +117,6 @@ def builtin_profile(
             x = np.asarray(x, dtype=float)
             return amp * np.exp(-((x / a) ** 2))
 
-        def antiderivative(x):
-            x = np.asarray(x, dtype=float)
-            return amp * a * (math.sqrt(math.pi) / 2.0) * _erf(x / a)
-
         def tail_radius(eps: float) -> float:
             if mass == 0.0 or eps >= mass:
                 return 0.0
@@ -146,10 +129,8 @@ def builtin_profile(
             width=a,
             support=None,
             phi=phi,
-            antiderivative=antiderivative,
             total_integral=amp * a * math.sqrt(math.pi),
             l1_norm=mass,
-            sup_norm=abs(amp),
             tail_radius=tail_radius,
         )
 
@@ -159,10 +140,6 @@ def builtin_profile(
         def phi(x):
             x = np.asarray(x, dtype=float)
             return amp / np.cosh(x / a) ** 2
-
-        def antiderivative(x):
-            x = np.asarray(x, dtype=float)
-            return amp * a * np.tanh(x / a)
 
         def tail_radius(eps: float) -> float:
             if mass == 0.0 or eps >= mass:
@@ -177,16 +154,13 @@ def builtin_profile(
             width=a,
             support=None,
             phi=phi,
-            antiderivative=antiderivative,
             total_integral=2.0 * amp * a,
             l1_norm=mass,
-            sup_norm=abs(amp),
             tail_radius=tail_radius,
         )
 
-    # raised-cosine bump: compactly supported with exact antiderivative
+    # raised-cosine bump: compactly supported
     s = float(support) if support is not None else a
-    half_mass = amp * s / 2.0
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -195,12 +169,6 @@ def builtin_profile(
         xs = x[inside]
         out[inside] = amp * np.cos(np.pi * xs / (2.0 * s)) ** 2
         return out if out.ndim else float(out)
-
-    def antiderivative(x):
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, -s, s)
-        val = amp * (clipped / 2.0 + (s / (2.0 * np.pi)) * np.sin(np.pi * clipped / s))
-        return val if val.ndim else float(val)
 
     def tail_radius(eps: float) -> float:
         # compact support: the full mass sits inside [-s, s]
@@ -212,10 +180,8 @@ def builtin_profile(
         width=a,
         support=s,
         phi=phi,
-        antiderivative=antiderivative,
         total_integral=amp * s,
         l1_norm=abs(amp) * s,
-        sup_norm=abs(amp),
         tail_radius=tail_radius,
     )
 

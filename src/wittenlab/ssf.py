@@ -12,10 +12,10 @@ from the 1-D one by the arcsine-weighted transform
 
     xi_2d(lam) = (1/pi) * int_{-sqrt(lam)}^{sqrt(lam)} xi(nu) (lam - nu^2)^(-1/2) dnu,
 
-never by discretizing the 2-D operators.  A whole lam grid is
-transformed in one call, over fixed blocks of lam, by the midpoint rule
-in t.  For a sampled (piecewise-linear) curve that sum is gathered per
-grid cell rather than per sample: each cell's sample count and sum of
+never by discretizing the 2-D operators.  It maps a constant to itself.
+A sampled (piecewise-linear) curve takes the midpoint rule in t over a
+whole lam grid in one call, in fixed blocks of lam, gathered per grid
+cell rather than per sample: each cell's sample count and sum of
 local coordinates give its hat weights, and only the samples beyond
 the sampled window are evaluated one by one; the curves of a schedule
 share one grid and one call.  Two independent trace identities tie
@@ -30,9 +30,7 @@ structured elimination, O(N) per point (det2_sweep), which also
 returns, for each n, its point of smallest |det2| and a running error
 bound on the sweep's value there.  Where the bound is too loose to
 vouch, that n falls back to the dense LU det2 of the assembled matrix,
-before its phase is tracked.  The fallbacks of one call share one N x N
-buffer, allocated at the first of them: each assembles its matrix there
-and factors it in place.
+before its phase is tracked.
 """
 
 from __future__ import annotations
@@ -42,11 +40,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .determinants import RefinementNeededError, det2, phase_curve
+from .determinants import RefinementNeededError, _det2_log_magnitude, det2, phase_curve
 from .discretize import (
     MollifiedBSFamily,
     _legendre_rule,
@@ -170,26 +168,21 @@ def _nu_grid(nu_max: float, nu_points: Optional[int], N: int) -> np.ndarray:
 _SPOT_CHECK_TOL = 1e-9
 
 
-def _spot_check(
-    family: MollifiedBSFamily,
-    n: int,
-    nu: float,
-    value: complex,
-    workspace: np.ndarray,
-) -> None:
+def _spot_check(family: MollifiedBSFamily, n: int, nu: float, value: complex) -> None:
     """Hold the structured sweep's value at (n, nu) to the dense LU det2 there.
 
     The fallback where the sweep's bound does not vouch: a disagreement beyond
-    _SPOT_CHECK_TOL * (1 + |dense|) is refused with the point named.
-    The matrix is assembled in workspace, a complex N x N buffer, and
-    det2 shifts its diagonal there, so checks sharing it allocate no
-    N x N array of their own.
+    _SPOT_CHECK_TOL * (1 + |dense|) is refused with the point named, and so
+    is a dense det2 beyond double range, 0 or inf, with its log-magnitude.
     """
-    dense = det2(family.matrix(n, nu, out=workspace).entries, overwrite=True)
-    if not abs(value - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense)):
+    entries = family.matrix(n, nu).entries
+    dense = det2(entries)
+    in_range = 0.0 < abs(dense) < math.inf
+    if not (in_range and abs(value - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense))):
+        beyond = "" if in_range else f", of log-magnitude {_det2_log_magnitude(entries):.6g},"
         raise RefinementNeededError(
-            f"structured det2 {value:.6g} disagrees with the dense det2 "
-            f"{dense:.6g} at nu = {nu:g}",
+            f"structured det2 {value:.6g} disagrees with the dense det2 {dense:.6g}{beyond} "
+            f"at nu = {nu:g}",
             interval=(nu, nu),
         )
 
@@ -259,33 +252,26 @@ def ssf_mollified(
     size = np.abs(checked)
     with np.errstate(invalid="ignore"):
         vouched = np.isfinite(checked) & (bound * size <= _SPOT_CHECK_TOL * (1.0 + size))
-    workspace = None
     curves = []
-    try:
-        for m, values, k, value, ok in zip(schedule, det2_values, points, checked, vouched):
-            if not ok:
-                if workspace is None:
-                    workspace = np.empty((grid.N, grid.N), dtype=complex)
-                _spot_check(family, m, float(nu[k]), value, workspace)
-            pc = phase_curve(nu, values)
-            xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
-            curves.append(
-                SSFCurve(
-                    grid=nu,
-                    values=xi,
-                    kind=SSFKind.ONE_DIM_MOLLIFIED,
-                    provenance={
-                        "N": N,
-                        "n": m,
-                        "nu_max": nu_max,
-                        "total_integral": profile.total_integral,
-                        "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
-                    },
-                )
+    for m, values, k, value, ok in zip(schedule, det2_values, points, checked, vouched):
+        if not ok:
+            _spot_check(family, m, float(nu[k]), value)
+        pc = phase_curve(nu, values)
+        xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
+        curves.append(
+            SSFCurve(
+                grid=nu,
+                values=xi,
+                kind=SSFKind.ONE_DIM_MOLLIFIED,
+                provenance={
+                    "N": N,
+                    "n": m,
+                    "nu_max": nu_max,
+                    "total_integral": profile.total_integral,
+                    "endpoint_magnitude": float(max(abs(xi[0]), abs(xi[-1]))),
+                },
             )
-    finally:
-        # freed here on a refusal too, not when the caller drops the traceback
-        del workspace
+        )
     return curves[0] if single else tuple(curves)
 
 
@@ -325,13 +311,6 @@ class _ExtendedCurve:
         if self.limit is not None:
             return np.full(np.shape(nu), self.limit)
         return _eta_over_pi(self.total, self.n, nu)
-
-    def __call__(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        outside = (nu < -self.span) | (nu > self.span)
-        out = np.asarray(np.interp(nu, self.grid, self.inner))
-        out[outside] = self.tail(nu[outside])
-        return out if out.ndim else float(out)
 
 
 def _count_samples(sin_t: np.ndarray, roots: np.ndarray, edge: float, side: str) -> np.ndarray:
@@ -405,7 +384,7 @@ def _arcsine_rule(sources: tuple, lams: np.ndarray, sin_t: np.ndarray) -> np.nda
     extended = isinstance(first, _ExtendedCurve)
     for source in sources:
         if not isinstance(source, (SSFCurve, _ExtendedCurve)):
-            raise TypeError(f"unsupported source type {type(source).__name__} in a tuple")
+            raise TypeError(f"unsupported source type {type(source).__name__}")
         if isinstance(source, _ExtendedCurve) is not extended or not np.array_equal(
             source.grid, first.grid
         ):
@@ -455,59 +434,36 @@ def _check_coverage(curve: SSFCurve, top: float) -> None:
 
 
 def pushnitski(
-    source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray], tuple],
+    source: Union[float, SSFCurve, tuple],
     lam: Union[float, np.ndarray],
 ) -> Union[float, np.ndarray]:
     """Arcsine-weighted transform of a 1-D curve at lam > 0.
 
     Substituting nu = sqrt(lam) sin(t) turns the weight into the flat
-    measure dt/pi on (-pi/2, pi/2), so a uniform midpoint grid of
-    _T_POINTS in t integrates constants exactly and odd integrands to rounding.
-    source may be a constant or a callable of nu, sampled at every
-    (lam, t) point, _LAMBDA_BLOCK values of lam at a time, and called
-    once per block.  A sampled 1-D curve (interpolated linearly; lam
-    beyond its span is a coverage error) or an extended curve from
-    _extended_evaluator takes the same midpoint sum cell by cell
-    (_arcsine_rule), within 1e-14 of sampling it; a tuple of either
-    kind on one grid is transformed in one call, sharing each block's
-    rule.  A scalar lam returns a float, an array of lam an array of
-    its shape, and a tuple of sources a leading axis of one row per
-    source; every row of lam is reduced on its own, so every entry
-    equals the scalar call.
+    measure dt/pi on (-pi/2, pi/2), so a real constant maps to itself and
+    is returned as it is.  A sampled 1-D curve (interpolated linearly;
+    lam beyond its span is a coverage error) or an extended curve from
+    _extended_evaluator takes the midpoint rule of _T_POINTS in t, exact
+    to rounding for odd integrands, summed cell by cell (_arcsine_rule);
+    a tuple of either kind on one grid is transformed in one call.  A
+    scalar lam returns a float, an array of lam an array of its shape,
+    and a tuple a leading axis of one row per source; every row of lam
+    is reduced on its own, so every entry equals the scalar call.
     """
     lams = np.asarray(lam, dtype=float)
     bad = lams[~(lams > 0.0)]
     if bad.size:
         raise ValueError(f"lam must be positive, got {bad[0]:g}")
-    t = -0.5 * math.pi + (np.arange(_T_POINTS) + 0.5) * (math.pi / _T_POINTS)
-    sin_t = np.sin(t)
-    if isinstance(source, tuple):
-        if not source:
-            raise ValueError("the tuple of sources must be nonempty")
-        means = _arcsine_rule(source, lams.reshape(-1), sin_t)
-        return means.reshape(len(source), *lams.shape)
-    if isinstance(source, (SSFCurve, _ExtendedCurve)):
-        means = _arcsine_rule((source,), lams.reshape(-1), sin_t)[0]
-        return means.reshape(lams.shape) if lams.ndim else float(means[0])
     if isinstance(source, numbers.Real):
-        value = float(source)
-
-        def samples(nus):
-            return np.full(nus.shape, value)
-
-    elif callable(source):
-
-        def samples(nus):
-            return np.broadcast_to(np.asarray(source(nus), dtype=float), nus.shape)
-
-    else:
-        raise TypeError(f"unsupported source type {type(source).__name__}")
-    roots = np.sqrt(lams).reshape(-1)
-    means = np.empty_like(roots)
-    for start in range(0, len(roots), _LAMBDA_BLOCK):
-        block = slice(start, start + _LAMBDA_BLOCK)
-        means[block] = np.mean(samples(roots[block, None] * sin_t), axis=-1)
-    return means.reshape(lams.shape) if lams.ndim else float(means[0])
+        return np.full(lams.shape, float(source)) if lams.ndim else float(source)
+    sources = source if isinstance(source, tuple) else (source,)
+    if not sources:
+        raise ValueError("the tuple of sources must be nonempty")
+    t = -0.5 * math.pi + (np.arange(_T_POINTS) + 0.5) * (math.pi / _T_POINTS)
+    means = _arcsine_rule(sources, lams.reshape(-1), np.sin(t))
+    if isinstance(source, tuple):
+        return means.reshape(len(source), *lams.shape)
+    return means[0].reshape(lams.shape) if lams.ndim else float(means[0, 0])
 
 
 def _extended_evaluator(curve: SSFCurve, *, eta_correction: bool = False) -> _ExtendedCurve:
@@ -518,8 +474,8 @@ def _extended_evaluator(curve: SSFCurve, *, eta_correction: bool = False) -> _Ex
     like nu^-2 and is negligible out there).  With eta_correction the
     sampled eta term is replaced by its n -> infinity limit everywhere,
     leaving phase/pi plus a constant; the tail is then that constant.
-    The evaluator is a callable of nu that also carries its grid, inner
-    values and tail, which pushnitski's per-cell rule reads.
+    The evaluator carries its grid, inner values and tail, which
+    pushnitski's per-cell rule reads.
     """
     n = curve.provenance.get("n")
     total = curve.provenance.get("total_integral")
@@ -534,7 +490,7 @@ def _extended_evaluator(curve: SSFCurve, *, eta_correction: bool = False) -> _Ex
 
 
 def ssf_2d_curve(
-    source: Union[float, SSFCurve, Callable[[np.ndarray], np.ndarray]],
+    source: Union[float, SSFCurve],
     lambda_grid: Optional[np.ndarray] = None,
     *,
     eta_correction: bool = True,
@@ -719,8 +675,9 @@ def trace_identity_eq1(
     (nu^2 - z)^(-3/2) dnu.  With synthetic_constant set, both sides run
     on the constant function instead of the determinant pipeline, where
     the exact common value is c/(-z).  The rhs is then c K(0, z)
-    (_weight_tail), exact by construction, so the synthetic line tests
-    the lhs: the cell weights and the arcsine rule.
+    (_weight_tail), exact by construction, and the arcsine transform
+    returns c itself, so the synthetic line tests the lam-cell weights
+    only; the real Stieltjes line still runs the arcsine rule.
     """
     _check_threads(threads)
     n = _check_mollifier_index(n)
@@ -729,7 +686,7 @@ def trace_identity_eq1(
 
     if synthetic_constant is not None:
         c = float(synthetic_constant)
-        evaluator = lambda nu: np.full(np.shape(nu), c)
+        evaluator = c
         rhs = c * _weight_tail(0.0, z)
         params["synthetic_constant"] = c
     elif profile.l1_norm == 0.0:

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from wittenlab import (
+    SSFCurve,
+    SSFKind,
     build_grid,
     builtin_profile,
     c0,
@@ -169,9 +171,12 @@ def test_criterion_06_stieltjes_pair():
 
 
 def test_criterion_07_pushnitski_exactness():
+    # each constant as given, and sampled on a grid, which runs the per-cell rule
+    grid = np.linspace(-12.0, 12.0, 401)
     worst = max(
-        abs(pushnitski(c, lam) - c)
+        abs(pushnitski(source, lam) - c)
         for c in (0.73, c0(GAUSS))
+        for source in (c, SSFCurve(grid, np.full(len(grid), c), SSFKind.ONE_DIM_MOLLIFIED))
         for lam in (0.1, 1.0, 100.0)
     )
     ok = worst < 1e-14

@@ -140,16 +140,20 @@ def test_wide_profile_exits_2_at_the_oscillation_gate(tmp_path, profile_file, ca
 
 
 def test_state_out_of_double_range_exits_2(tmp_path, profile_file, capsys):
-    # bump(1e15, 1) takes the sweep's state out of double range within a block
-    # of nodes: those det2 values come back not finite or 0, vouched for by
-    # nothing, and the dense check refuses them
-    profile = profile_file({"kind": "bump", "amplitude": 1e15, "width": 1.0})
-    for command in ("ssf-1d", "ssf-2d", "witten"):
-        code = main([
-            command, "--profile", profile, "--nu-max", "1", "--out", str(tmp_path / command),
-        ])
-        assert code == 2, command
-        assert "disagrees with the dense det2" in capsys.readouterr().err
+    # bump(+-1e15, 1) takes the sweep's state out of double range within a
+    # block of nodes: those det2 values come back not finite or 0, vouched for
+    # by nothing, and the dense check refuses them.  The dense det2 is out of
+    # range too, so it is named with its log-magnitude, not as nan
+    for amplitude in (1e15, -1e15):
+        profile = profile_file({"kind": "bump", "amplitude": amplitude, "width": 1.0})
+        for command in ("ssf-1d", "ssf-2d", "witten"):
+            code = main([
+                command, "--profile", profile, "--nu-max", "1", "--out", str(tmp_path / command),
+            ])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert "disagrees with the dense det2" in err
+            assert "dense det2 nan" not in err and "log-magnitude" in err
 
 
 def test_ssf2d_constant_input(tmp_path, profile_file):

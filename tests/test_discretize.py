@@ -199,10 +199,6 @@ def test_family_matrix_is_the_branch_formula_bitwise():
                 entries = family.matrix(n, nu).entries
                 # signed zeros included
                 assert entries.tobytes() == expected.tobytes()
-                # every entry of out is written, whatever it held
-                buf = np.full(entries.shape, np.nan + 1j * np.nan)
-                assert family.matrix(n, nu, out=buf).entries is buf
-                assert buf.tobytes() == entries.tobytes()
 
 
 def test_family_matrix_allocates_its_result_and_row_block_scratch(traced_peak):
@@ -211,11 +207,6 @@ def test_family_matrix_allocates_its_result_and_row_block_scratch(traced_peak):
     # the result and one block of rows of the decay, far-branch and mask scratch;
     # no temporary is N x N
     assert peak <= 1.3 * matrix.entries.nbytes
-    buf = np.empty_like(matrix.entries)
-    peak, _ = traced_peak(lambda: family.matrix(16, 0.3, out=buf))
-    assert peak <= 0.3 * buf.nbytes
-    with pytest.raises(ValueError, match="out must be"):
-        family.matrix(16, 0.3, out=np.empty((400, 400)))
 
 
 def test_hs_norm_is_cauchy_in_resolution():
