@@ -578,7 +578,8 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
     if bad.size:
         i = int(bad[0])
         raise RefinementNeededError(
-            f"det2 {values[i]} at nu = {nu[i]:g} is not finite; refine the grid there",
+            f"det2 {values[i]} at nu = {nu[i]:g} is not finite: it left double range, "
+            f"which no finer grid brings back",
             interval=(float(nu[i]), float(nu[i])),
         )
 

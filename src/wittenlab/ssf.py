@@ -13,11 +13,9 @@ from the 1-D one by the arcsine-weighted transform
     xi_2d(lam) = (1/pi) * int_{-sqrt(lam)}^{sqrt(lam)} xi(nu) (lam - nu^2)^(-1/2) dnu,
 
 never by discretizing the 2-D operators.  It maps a constant to itself.
-A sampled (piecewise-linear) curve takes the midpoint rule in t over a
-whole lam grid in one call, in fixed blocks of lam, gathered per grid
-cell rather than per sample: each cell's sample count and sum of
-local coordinates give its hat weights, and only the samples beyond
-the sampled window are evaluated one by one; the curves of a schedule
+A sampled (piecewise-linear) curve is transformed in closed form over a
+whole lam grid in one call, in fixed blocks of lam: each grid cell gives
+exact hat weights and the eta_n tail an arctan; the curves of a schedule
 share one grid and one call.  Two independent trace identities tie
 the pieces together and are exposed as residual reports: the
 resolvent trace formula checked against a Fourier-side oracle, and the
@@ -275,26 +273,19 @@ def ssf_mollified(
     return curves[0] if single else tuple(curves)
 
 
-# Midpoints in t of every arcsine transform.
-_T_POINTS = 2001
-# lam rows per block of (lam, t) samples: a block of _T_POINTS-point rows
-# stays in cache, and the working set does not grow with the number of lam.
+# lam rows per block of (lam, node) weights: a block stays in cache, and
+# the working set does not grow with the number of lam.
 _LAMBDA_BLOCK = 16
 # Geometric lam cells of the Stieltjes-pair and Delta_r quadratures.
 _LAMBDA_CELLS = 160
-
-
-def _eta_over_pi(total_integral: float, n: int, nu: np.ndarray) -> np.ndarray:
-    return _eta(total_integral, n, np.asarray(nu, dtype=float)) / math.pi
 
 
 @dataclass(frozen=True, eq=False)
 class _ExtendedCurve:
     """Whole-line evaluator of a sampled mollified curve (see _extended_evaluator).
 
-    Linear between the (grid, inner) samples on the window [-span, span],
-    span = grid[-1], and the tail outside it: the constant limit when it
-    is set, else the closed-form eta_n / pi.
+    Linear between the (grid, inner) samples, and the tail outside the
+    grid: the constant limit when it is set, else the closed-form eta_n / pi.
     """
 
     grid: np.ndarray
@@ -303,82 +294,50 @@ class _ExtendedCurve:
     total: float
     limit: Optional[float] = None
 
-    @property
-    def span(self) -> float:
-        return float(self.grid[-1])
+    def tail_integral(self, lams: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """Integral of the tail at nu = sqrt(lam) sin t over the t off the grid, of measure outside.
 
-    def tail(self, nu: np.ndarray) -> np.ndarray:
+        Past an end s of the grid the eta tail takes, with q = sqrt(lam + n^2),
+        (total/2pi) (n/q) arctan(n sqrt(lam - s^2)/(s q)), and 0 for lam <= s^2.
+        """
         if self.limit is not None:
-            return np.full(np.shape(nu), self.limit)
-        return _eta_over_pi(self.total, self.n, nu)
+            return self.limit * outside
+        n = self.n
+        q = np.sqrt(lams + n * n)
+        ends = (-float(self.grid[0]), float(self.grid[-1]))
+        arcs = sum(np.arctan(n * np.sqrt(np.maximum(lams - s * s, 0.0)) / (s * q)) for s in ends)
+        return self.total / (2.0 * math.pi) * (n / q) * arcs
 
 
-def _count_samples(sin_t: np.ndarray, roots: np.ndarray, edge: float, side: str) -> np.ndarray:
-    """Per root r, how many samples nu = r sin_t lie below edge (side "left") or at or below it.
+def _hat_weights(grid, roots):
+    """Per root r, node weights of the exact t-integral of any linear interpolant on grid.
 
-    searchsorted places edge / r among sin_t; that quotient and the
-    products r sin_t round differently, which moves the count by at most
-    one sample, so it is settled on the products themselves.
+    With nu = r sin t and t_j = arcsin(g_j / r), clipped to +-pi/2, cell j
+    spans dt_j and its local coordinate (nu - g_j) / h_j integrates to
+    (r cos t_j - r cos t_{j+1} - g_j dt_j) / h_j, moved from the left node
+    to the right one.  Also returns the t off the grid: t_0 + pi/2 below
+    it and pi/2 - t_N above it.
     """
-    count = np.searchsorted(sin_t, edge / roots, side=side)
-    last = len(sin_t) - 1
-
-    def inside(k):
-        nu = roots * sin_t[k]
-        return nu < edge if side == "left" else nu <= edge
-
-    # where count is 0, sin_t[-1] stands in and count > 0 masks it out
-    count -= (count > 0) & ~inside(count - 1)
-    count += (count <= last) & inside(np.minimum(count, last))
-    return count
-
-
-def _hat_weights(grid, widths, span, roots, sin_t, prefix):
-    """Per root r, node weights that sum the window's samples of any linear interpolant on grid.
-
-    widths = np.diff(grid).  Row i of the (roots, nodes) result times
-    the node values is the sum, over the samples nu = r_i sin_t inside
-    the window [-span, span] (all samples if span is None), of the
-    interpolant as np.interp takes it: linear in each cell and constant
-    beyond the grid's ends.  A cell's
-    samples are a run of sin_t, found by searchsorted; its share of the
-    sum is its sample count at the left node plus the sum of the local
-    coordinates (nu - g_j) / h_j moved from the left node to the right
-    one, and prefix, the running sums of sin_t with a leading 0, gives
-    that sum in two lookups.  Also returns the window's bounds lo, hi:
-    samples lo <= k < hi are inside it.
-    """
-    T = len(sin_t)
-    if span is None:
-        lo = np.zeros(len(roots), dtype=int)
-        hi = np.full(len(roots), T)
-    else:
-        lo = _count_samples(sin_t, roots, -span, "left")
-        hi = _count_samples(sin_t, roots, span, "right")
-    counts = np.searchsorted(sin_t, grid / roots[:, None])
-    np.maximum(counts, lo[:, None], out=counts)
-    np.minimum(counts, hi[:, None], out=counts)
-    members = counts[:, 1:] - counts[:, :-1]
-    local = prefix[counts[:, 1:]] - prefix[counts[:, :-1]]
-    local *= roots[:, None]
-    local -= members * grid[:-1]
-    local /= widths
-    weights = np.empty(counts.shape)
-    np.subtract(members, local, out=weights[:, :-1])
-    weights[:, -1] = hi - counts[:, -1]
+    x = np.clip(grid / roots[:, None], -1.0, 1.0)
+    t = np.arcsin(x)
+    # r cos t, with 1 - x^2 factored so that it does not cancel near x = +-1
+    r_cos = roots[:, None] * np.sqrt((1.0 - x) * (1.0 + x))
+    dt = np.diff(t, axis=-1)
+    local = (r_cos[:, :-1] - r_cos[:, 1:] - grid[:-1] * dt) / np.diff(grid)
+    weights = np.zeros(t.shape)
+    weights[:, :-1] = dt - local
     weights[:, 1:] += local
-    weights[:, 0] += counts[:, 0] - lo
-    return weights, lo, hi
+    return weights, t[:, 0] + 0.5 * math.pi, 0.5 * math.pi - t[:, -1]
 
 
-def _arcsine_rule(sources: tuple, lams: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """Midpoint means over t of piecewise-linear sources on one grid, shape (sources, lams).
+def _arcsine_rule(sources: tuple, lams: np.ndarray) -> np.ndarray:
+    """Exact means over t of piecewise-linear sources on one grid, shape (sources, lams).
 
     Each block of lam builds one set of hat weights (_hat_weights) for
-    every source; only the samples outside an extended curve's window
-    are evaluated one by one, through its tail, into a scratch row
-    block per source.  Every row is reduced on its own, so a mean does
-    not depend on the other lam of its block.
+    every source.  The t off the grid go to a sampled curve's end nodes,
+    as np.interp holds its end values, and to an extended curve's tail
+    integral.  Every row is reduced on its own, so a mean does not
+    depend on the other lam of its block.
     """
     first = sources[0]
     extended = isinstance(first, _ExtendedCurve)
@@ -391,35 +350,22 @@ def _arcsine_rule(sources: tuple, lams: np.ndarray, sin_t: np.ndarray) -> np.nda
             raise ValueError("the sources of one call must be of one kind on one grid")
         if not extended:
             _check_coverage(source, float(np.max(lams, initial=0.0)))
-    grid = first.grid
-    widths = np.diff(grid)
     values = np.array([s.inner if extended else s.values for s in sources])
-    span = first.span if extended else None
     roots = np.sqrt(lams)
-    T = len(sin_t)
-    prefix = np.concatenate(([0.0], np.cumsum(sin_t)))
-    index = np.arange(T)
     sums = np.empty((len(sources), len(roots)))
     for start in range(0, len(roots), _LAMBDA_BLOCK):
         block = slice(start, start + _LAMBDA_BLOCK)
-        r = roots[block]
-        weights, lo, hi = _hat_weights(grid, widths, span, r, sin_t, prefix)
+        weights, below, above = _hat_weights(first.grid, roots[block])
+        if not extended:
+            weights[:, 0] += below
+            weights[:, -1] += above
         scratch = np.empty_like(weights)
-        for values_c, sums_c in zip(values, sums):
+        for source, values_c, sums_c in zip(sources, values, sums):
             np.multiply(weights, values_c, out=scratch)
             sums_c[block] = scratch.sum(axis=-1)
-        rows = np.flatnonzero((lo > 0) | (hi < T))
-        if rows.size:
-            nus = r[rows, None] * sin_t
-            outside = (index < lo[rows, None]) | (index >= hi[rows, None])
-            nus_out = nus[outside]
-            # nus is reused as each source's tail samples, 0 inside the window
-            tails = nus
-            for source, sums_c in zip(sources, sums):
-                tails.fill(0.0)
-                tails[outside] = source.tail(nus_out)
-                sums_c[start + rows] += tails.sum(axis=-1)
-    return sums / T
+            if extended:
+                sums_c[block] += source.tail_integral(lams[block], below + above)
+    return sums / math.pi
 
 
 def _check_coverage(curve: SSFCurve, top: float) -> None:
@@ -443,24 +389,23 @@ def pushnitski(
     measure dt/pi on (-pi/2, pi/2), so a real constant maps to itself and
     is returned as it is.  A sampled 1-D curve (interpolated linearly;
     lam beyond its span is a coverage error) or an extended curve from
-    _extended_evaluator takes the midpoint rule of _T_POINTS in t, exact
-    to rounding for odd integrands, summed cell by cell (_arcsine_rule);
-    a tuple of either kind on one grid is transformed in one call.  A
-    scalar lam returns a float, an array of lam an array of its shape,
-    and a tuple a leading axis of one row per source; every row of lam
-    is reduced on its own, so every entry equals the scalar call.
+    _extended_evaluator is transformed exactly, cell by cell in closed
+    form (_arcsine_rule); a tuple of either kind on one grid is
+    transformed in one call.  lam must be finite.  A scalar lam returns
+    a float, an array of lam an array of its shape, and a tuple a leading
+    axis of one row per source; every row of lam is reduced on its own,
+    so every entry equals the scalar call.
     """
     lams = np.asarray(lam, dtype=float)
-    bad = lams[~(lams > 0.0)]
+    bad = lams[~((lams > 0.0) & (lams < math.inf))]
     if bad.size:
-        raise ValueError(f"lam must be positive, got {bad[0]:g}")
+        raise ValueError(f"lam must be positive and finite, got {bad[0]:g}")
     if isinstance(source, numbers.Real):
         return np.full(lams.shape, float(source)) if lams.ndim else float(source)
     sources = source if isinstance(source, tuple) else (source,)
     if not sources:
         raise ValueError("the tuple of sources must be nonempty")
-    t = -0.5 * math.pi + (np.arange(_T_POINTS) + 0.5) * (math.pi / _T_POINTS)
-    means = _arcsine_rule(sources, lams.reshape(-1), np.sin(t))
+    means = _arcsine_rule(sources, lams.reshape(-1))
     if isinstance(source, tuple):
         return means.reshape(len(source), *lams.shape)
     return means[0].reshape(lams.shape) if lams.ndim else float(means[0, 0])
@@ -474,19 +419,18 @@ def _extended_evaluator(curve: SSFCurve, *, eta_correction: bool = False) -> _Ex
     like nu^-2 and is negligible out there).  With eta_correction the
     sampled eta term is replaced by its n -> infinity limit everywhere,
     leaving phase/pi plus a constant; the tail is then that constant.
-    The evaluator carries its grid, inner values and tail, which
-    pushnitski's per-cell rule reads.
+    The evaluator carries its grid, inner values and the closed-form
+    integral of its tail, which pushnitski's per-cell transform reads.
     """
     n = curve.provenance.get("n")
     total = curve.provenance.get("total_integral")
     if n is None or total is None:
         raise ValueError("curve provenance lacks the mollifier record (n, total_integral)")
-    grid = curve.grid
-    inner = curve.values
+    if not eta_correction:
+        return _ExtendedCurve(curve.grid, curve.values, n, total)
     limit = total / (2.0 * math.pi)
-    if eta_correction:
-        inner = inner - _eta_over_pi(total, n, grid) + limit
-    return _ExtendedCurve(grid, inner, n, total, limit if eta_correction else None)
+    inner = curve.values - _eta(total, n, curve.grid) / math.pi + limit
+    return _ExtendedCurve(curve.grid, inner, n, total, limit)
 
 
 def ssf_2d_curve(
@@ -512,13 +456,10 @@ def ssf_2d_curve(
     if lam[0] <= 0.0 or not np.all(np.diff(lam) > 0.0):
         raise ValueError("lambda_grid must be strictly increasing and positive")
 
-    provenance: dict = {"t_points": _T_POINTS}
+    evaluator, provenance = source, {}
     if isinstance(source, SSFCurve):
         evaluator = _extended_evaluator(source, eta_correction=eta_correction)
-        provenance.update(source.provenance)
-        provenance["eta_correction"] = bool(eta_correction)
-    else:
-        evaluator = source
+        provenance = {**source.provenance, "eta_correction": bool(eta_correction)}
     values = pushnitski(evaluator, lam)
     return SSFCurve(grid=lam, values=values, kind=SSFKind.TWO_DIM, provenance=provenance)
 

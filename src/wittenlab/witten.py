@@ -29,7 +29,6 @@ import numpy as np
 from .profiles import PotentialProfile, _check_mollifier_index, c0
 from .ssf import (
     _LAMBDA_CELLS,
-    _T_POINTS,
     SSFCurve,
     SSFKind,
     _check_threads,
@@ -173,7 +172,6 @@ def witten_index(
         "N": N,
         "nu_max": nu_max,
         "lambda_cells": _LAMBDA_CELLS,
-        "t_points": _T_POINTS,
     }
 
     if profile.l1_norm == 0.0:

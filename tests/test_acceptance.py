@@ -171,7 +171,7 @@ def test_criterion_06_stieltjes_pair():
 
 
 def test_criterion_07_pushnitski_exactness():
-    # each constant as given, and sampled on a grid, which runs the per-cell rule
+    # each constant as given, and sampled on a grid, which runs the closed-form cell weights
     grid = np.linspace(-12.0, 12.0, 401)
     worst = max(
         abs(pushnitski(source, lam) - c)

@@ -156,6 +156,23 @@ def test_state_out_of_double_range_exits_2(tmp_path, profile_file, capsys):
             assert "dense det2 nan" not in err and "log-magnitude" in err
 
 
+def test_det2_out_of_double_range_exits_2_without_refinement_advice(tmp_path, profile_file,
+                                                                   capsys):
+    # sech2(1e5, 1): the sweep's det2 leaves double range near nu = 0 (witten
+    # runs n = 2 .. 32 at N = 400 on 401 points of [-1, 1]), where
+    # no finer grid helps, so past its "refinement needed" label the refusal
+    # does not ask for one
+    profile = profile_file({"kind": "sech2", "amplitude": 1e5, "width": 1.0})
+    for command in ("ssf-1d", "ssf-2d", "witten"):
+        code = main([
+            command, "--profile", profile, "--nu-max", "1", "--out", str(tmp_path / command),
+        ])
+        assert code == 2, command
+        err = capsys.readouterr().err
+        assert "not finite" in err and "(interval " in err
+        assert "refine the" not in err
+
+
 def test_ssf2d_constant_input(tmp_path, profile_file):
     out = str(tmp_path / "two")
     code = main([

@@ -221,6 +221,11 @@ def test_phase_curve_refuses_a_non_finite_value(bad):
     with pytest.raises(RefinementNeededError, match="not finite") as err:
         phase_curve(nu, det2_values=values)
     assert err.value.interval == (float(nu[30]), float(nu[30]))
+    # beyond double range no finer grid helps, and the tracer reads these
+    # prefixes as phase-contract refusals
+    message = str(err.value)
+    assert "refine" not in message
+    assert not message.startswith(("phase jump", "anchor phase", "|det2 - 1|", "far-end phase"))
 
 
 def test_phase_curve_grid_validation():

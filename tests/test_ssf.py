@@ -355,13 +355,13 @@ def sampled(f, grid):
 
 
 def test_pushnitski_odd_and_quadratic():
-    # odd integrand on a grid symmetric about 0: the midpoint t-grid is
-    # symmetric too, so cancellation is exact
+    # odd integrand on a grid symmetric about 0: the closed-form cell
+    # weights are symmetric too, so the two halves cancel to rounding
     grid = np.linspace(-3.0, 3.0, 601)
     assert abs(pushnitski(sampled(lambda nu: nu, grid), 7.0)) < 1e-12
     assert abs(pushnitski(sampled(lambda nu: np.sin(nu) + nu**3, grid), 2.0)) < 1e-12
-    # xi = nu^2 maps to lam/2, the mean of lam sin^2 over the midpoint grid;
-    # its linear interpolant lies above it by at most h^2/4
+    # xi = nu^2 maps to lam/2, the mean of lam sin^2 t; its linear
+    # interpolant lies above it by at most h^2/4
     square = sampled(lambda nu: nu**2, grid)
     h = grid[1] - grid[0]
     for lam in (0.5, 4.0):
@@ -430,69 +430,66 @@ def test_pushnitski_working_set_of_a_schedule_does_not_grow_with_lam(traced_peak
     assert_array_equal(values_four, np.tile(values, 4))
 
 
-def _per_sample_midpoint(source, lams, t_points=2001):
-    """The transform as sampled before the per-cell rule: interp at every (lam, t), then the mean."""
-    t = -0.5 * np.pi + (np.arange(t_points) + 0.5) * (np.pi / t_points)
-    nus = np.sqrt(np.asarray(lams, dtype=float))[:, None] * np.sin(t)
-    if isinstance(source, SSFCurve):
-        return np.mean(np.interp(nus, source.grid, source.values), axis=-1)
-    values = np.interp(nus, source.grid, source.inner)
-    outside = (nus < -source.grid[-1]) | (nus > source.grid[-1])
-    if source.limit is not None:
-        values[outside] = source.limit
-    else:
-        n = source.n
-        values[outside] = 0.5 * n * n / (nus[outside] ** 2 + n * n) * source.total / np.pi
-    return np.mean(values, axis=-1)
+def _gauss_legendre_in_t(source, lams, points=80):
+    """The transform by an 80-point Gauss-Legendre rule in t on each piece of (-pi/2, pi/2).
+
+    The pieces lie between the breakpoints arcsin(g_j / sqrt(lam)), where
+    the integrand is smooth in t; the tail is evaluated point by point.
+    """
+    x, w = np.polynomial.legendre.leggauss(points)
+    extended = not isinstance(source, SSFCurve)
+    grid = source.grid
+    inner = source.inner if extended else source.values
+    means = []
+    for lam in lams:
+        r = np.sqrt(lam)
+        x_nodes = np.concatenate(([-1.0], np.clip(grid / r, -1.0, 1.0), [1.0]))
+        breaks = np.unique(np.arcsin(x_nodes))
+        half = 0.5 * np.diff(breaks)
+        t = (breaks[:-1] + half)[:, None] + half[:, None] * x
+        nu = r * np.sin(t)
+        f = np.interp(nu, grid, inner)
+        if extended:
+            outside = (nu < grid[0]) | (nu > grid[-1])
+            if source.limit is not None:
+                f[outside] = source.limit
+            else:
+                n = source.n
+                f[outside] = 0.5 * n * n / (nu[outside] ** 2 + n * n) * source.total / np.pi
+        means.append(np.sum(half * (f @ w)) / np.pi)
+    return np.array(means)
 
 
-def _lam_with_sample_on(node, k, t_points=2001):
-    """lam whose sample k, sqrt(lam) sin(t_k), is exactly node."""
-    t = -0.5 * np.pi + (np.arange(t_points) + 0.5) * (np.pi / t_points)
-    s = np.sin(t)[k]
-    r = node / s
-    for _ in range(64):
-        if r * s == node:
-            break
-        r = np.nextafter(r, np.inf if abs(r * s) < abs(node) else -np.inf)
-    lam = r * r
-    assert np.sqrt(lam) * s == node
-    return lam
-
-
-def test_arcsine_rule_matches_per_sample_midpoint():
+def test_arcsine_rule_matches_a_gauss_legendre_reference():
     nu = np.linspace(-12.0, 12.0, 401)
     curves = ssf_mollified(GAUSS, (2, 4, 8, 16, 32), nu, 400)
-    # witten_index's grid and its five curves, with the eta tail
+    # witten_index's grid and its five curves, with the eta tail past lam = 144
     lam = ssf._lambda_grid(12.0, 160, 1e-6)
+    assert lam[-1] > 144.0
     evaluators = tuple(ssf._extended_evaluator(curve) for curve in curves)
     worst = 0.0
     for evaluator, values in zip(evaluators, pushnitski(evaluators, lam)):
-        worst = max(worst, np.max(np.abs(values - _per_sample_midpoint(evaluator, lam))))
-    # ssf_2d_curve's constant tail, out to lam = 1e4 where most samples are in it
+        worst = max(worst, np.max(np.abs(values - _gauss_legendre_in_t(evaluator, lam))))
+    # ssf_2d_curve's constant tail, out to lam = 1e4 where most of t is in it
     wide = np.geomspace(0.1, 1e4, 61)
     constant = ssf._extended_evaluator(curves[2], eta_correction=True)
     worst = max(worst, np.max(np.abs(pushnitski(constant, wide)
-                                     - _per_sample_midpoint(constant, wide))))
-    # samples exactly on an interior node (nu = 3), on +span and on -span,
-    # which take the node value as np.interp does; at these two edge
-    # samples, searchsorted of +-span / sqrt(lam) alone would put the
-    # sample in the tail
-    on_nodes = np.array([_lam_with_sample_on(3.0, 1700), _lam_with_sample_on(12.0, 1300),
-                         _lam_with_sample_on(-12.0, 4)])
-    for source in (evaluators[0], constant):
-        worst = max(worst, np.max(np.abs(pushnitski(source, on_nodes)
-                                         - _per_sample_midpoint(source, on_nodes))))
-    # a nonuniform grid, and rows whose samples all fall in the one cell
-    # about 0 of an even grid
+                                     - _gauss_legendre_in_t(constant, wide))))
+    # a nonuniform grid, rows whose t all fall in the one cell about 0, and
+    # a root 5e-13 past the grid's end, inside the coverage tolerance, where
+    # np.interp holds the end value
     stretched = 5.0 * np.sinh(np.linspace(-2.0, 2.0, 96)) / np.sinh(2.0)
     curve = SSFCurve(grid=stretched, values=np.tanh(stretched) + 0.1 * stretched**2,
                      kind=SSFKind.ONE_DIM_MOLLIFIED)
-    lams = np.concatenate((np.geomspace(1e-8, 1e-4, 5), np.geomspace(1e-3, 25.0, 40)))
+    lams = np.concatenate((np.geomspace(1e-8, 1e-4, 5), np.geomspace(1e-3, 25.0, 40),
+                           [(5.0 + 5e-13) ** 2]))
     r = np.sqrt(lams[:5])
     assert np.all(np.searchsorted(stretched, r) == np.searchsorted(stretched, -r))
-    worst = max(worst, np.max(np.abs(pushnitski(curve, lams) - _per_sample_midpoint(curve, lams))))
+    worst = max(worst, np.max(np.abs(pushnitski(curve, lams)
+                                     - _gauss_legendre_in_t(curve, lams))))
     assert worst <= 1e-14
+    # far out the eta tail's mean is about (total/2pi) n/sqrt(lam), which vanishes
+    assert abs(pushnitski(evaluators[0], 1e300)) < 1e-100
 
 
 def test_pushnitski_validation():
@@ -504,6 +501,11 @@ def test_pushnitski_validation():
         pushnitski("xi", 1.0)
     with pytest.raises(ValueError, match="got 0"):
         pushnitski(1.0, np.array([0.5, 0.0, 2.0]))
+    # an infinite or NaN lam is refused, not transformed to nan
+    with pytest.raises(ValueError, match="finite, got inf"):
+        ssf_2d_curve(small_curve(n=4), np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="got nan"):
+        pushnitski(1.0, np.nan)
 
 
 def test_ssf_2d_constant_input_is_flat():
