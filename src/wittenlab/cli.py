@@ -4,8 +4,8 @@ Four subcommands: ssf-1d and ssf-2d emit sampled curves, witten runs
 the full index pipeline, and verify executes the invariant suite with
 one PASS/FAIL line per identity.  Exit codes are scriptable: 0 for
 success, 1 for usage or configuration problems, 2 when a computation
-refused to proceed without more resolution, 3 when a verification
-identity failed.
+refused to proceed ("refused:" and the reason on stderr), 3 when a
+verification identity failed.
 
 All emitted floating-point text is rounded to 12 significant digits,
 CSV uses LF endings, and JSON keys are sorted, so identical configs
@@ -247,10 +247,10 @@ def main(argv: Optional[list] = None) -> int:
         return 1
     except RefinementNeededError as exc:
         interval = f" (interval {exc.interval[0]:g} .. {exc.interval[1]:g})" if exc.interval else ""
-        print(f"refinement needed: {exc}{interval}", file=sys.stderr)
+        print(f"refused: {exc}{interval}", file=sys.stderr)
         return 2
     except (NearSingularError, CoverageError) as exc:
-        print(f"refinement needed: {exc}", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
 
 

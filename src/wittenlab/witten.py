@@ -2,13 +2,14 @@
 
 The regularized index is the lam -> 0- limit of
 
-    Delta_r(lam) = (-lam) * integral over (0, inf) of xi_2d(mu) (mu - lam)^(-2) dmu,
+    Delta_r(lam) = (-lam) * integral over (0, inf) of xi_2d(mu) (mu - lam)^(-2) dmu
+                 = (-lam/2) * integral over R of xi(nu) (nu^2 - lam)^(-3/2) dnu,
 
 which exists even though the operator is not Fredholm, and lands on
-integral(phi)/(2*pi): generically not an integer.  The pipeline walks
-the whole chain of this package: mollified 1-D curves from determinant
-phases, extrapolation of the mollifier away, the arcsine transform to
-2-D, the Delta_r quadrature, and a final linear-in-lam extrapolation.
+integral(phi)/(2*pi): generically not an integer.  The forms agree by
+Fubini, the inner mu-integral being (pi/2) (nu^2 - lam)^(-3/2).  The
+pipeline takes Delta_r from each mollified 1-D curve in the second form,
+extrapolates the mollifier away, and finally lam to 0 linearly.
 
 The mollifier extrapolation assumes second-order convergence, which is
 the exact order of the closed-form eta discrepancy; the observed
@@ -27,17 +28,8 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .profiles import PotentialProfile, _check_mollifier_index, c0
-from .ssf import (
-    _LAMBDA_CELLS,
-    SSFCurve,
-    SSFKind,
-    _check_threads,
-    _extended_evaluator,
-    _lambda_grid,
-    _nu_grid,
-    pushnitski,
-    ssf_mollified,
-)
+from .ssf import SSFCurve, SSFKind, _check_threads, _nu_grid, _resolvent_means, ssf_mollified
+from .ssf import pushnitski  # noqa: F401  (not called: perfbench/tracing.py patches this name)
 
 __all__ = ["WittenReport", "delta_r", "witten_index"]
 
@@ -93,7 +85,8 @@ def delta_r(xi_2d: SSFCurve, lam: Union[float, np.ndarray]) -> Union[float, np.n
     both segments integrating in closed form.  A constant curve
     therefore returns exactly its value for every lam < 0.  A scalar
     lam returns a float; a vector of lam is evaluated as one (lam, cell)
-    array, each entry equal to the scalar call.
+    array, each entry equal to the scalar call.  Kept though witten_index
+    does not call it: it is public, and perfbench/tracing.py wraps it.
     """
     lams = np.asarray(lam, dtype=float)
     bad = lams[~(lams < 0.0)]
@@ -144,8 +137,8 @@ def witten_index(
     """Full index pipeline against the closed-form reference.
 
     One mollified curve per schedule entry, all from one ssf_mollified
-    sweep over the schedule and transformed to 2-D by one pushnitski
-    call, each integrated to Delta_r on the lam schedule; the mollifier
+    sweep over the schedule, each integrated to Delta_r on the lam
+    schedule by the trace formula (ssf._resolvent_means); the mollifier
     is then extrapolated away at second order and lam is extrapolated
     to 0 linearly.  The reported
     delta_r_values belong to the mollifier-extrapolated curve (by
@@ -167,12 +160,7 @@ def witten_index(
     if not (np.all(np.isfinite(lam_sched)) and np.all(np.diff(lam_sched) > 0.0)):
         raise ValueError("lambda_schedule must be finite, with distinct entries")
     reference = c0(profile)
-    provenance = {
-        "profile": profile.descriptor(),
-        "N": N,
-        "nu_max": nu_max,
-        "lambda_cells": _LAMBDA_CELLS,
-    }
+    provenance = {"profile": profile.descriptor(), "N": N, "nu_max": nu_max}
 
     if profile.l1_norm == 0.0:
         zeros = np.zeros_like(lam_sched)
@@ -189,19 +177,9 @@ def witten_index(
     nu_grid = _nu_grid(nu_max, nu_points, N)
     provenance["nu_points"] = len(nu_grid)
 
-    floor = min(1e-6, 1e-3 * float(np.min(np.abs(lam_sched))))
-    lam_grid = _lambda_grid(nu_max, _LAMBDA_CELLS, floor)
-
     curves = ssf_mollified(profile, schedule, nu_grid, N, threads=threads)
-    # one transform for the schedule: every curve shares the nu grid
-    xi2d = pushnitski(tuple(_extended_evaluator(curve) for curve in curves), lam_grid)
-    delta_per_n = []
-    for n, values in zip(schedule, xi2d):
-        two_dim = SSFCurve(
-            grid=lam_grid, values=values, kind=SSFKind.TWO_DIM, provenance={"n": n}
-        )
-        delta_per_n.append(delta_r(two_dim, lam_sched))
-    delta_per_n = np.array(delta_per_n)
+    # the trace formula in closed form: Delta_r = (-lam/2) integral xi_n (nu^2 - lam)^(-3/2) dnu
+    delta_per_n = -lam_sched * _resolvent_means(curves, lam_sched)
 
     def lam_limit(deltas: np.ndarray) -> float:
         if len(deltas) == 1:

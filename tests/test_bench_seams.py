@@ -5,8 +5,10 @@ namespaces that call them (ssf.det2, ssf.MollifiedBSFamily,
 witten.pushnitski and the rest), and sizes each dense matrix from its
 .entries.  A renamed or moved function leaves the benchmark's per-layer
 metrics empty, and no other test would fail.  Here the tracer runs over a
-small index pipeline and over one sweep whose certificate does not vouch,
-and every layer it traces must show up with its size.
+small index pipeline, over one sweep whose certificate does not vouch, and
+over the two traced names the index no longer calls: ssf.pushnitski
+through ssf_2d_curve, and witten.delta_r directly.  Every layer it traces
+must show up with its size.
 """
 
 import importlib.util
@@ -38,8 +40,13 @@ def tracing():
 def test_the_tracer_reaches_every_layer_of_the_index_and_the_fallback(tracing):
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, wittenlab):
-        wittenlab.witten.witten_index(
+        report = wittenlab.witten.witten_index(
             builtin_profile("gaussian", 1.0, 1.0), (2, 4, 8), N=200, nu_max=6.0, threads=1
+        )
+        # the index takes Delta_r from its 1-D curves, so neither of these runs in it
+        wittenlab.ssf.ssf_2d_curve(report.reference_c0)
+        wittenlab.witten.delta_r(
+            wittenlab.SSFCurve([1.0, 2.0], [0.3, 0.3], wittenlab.SSFKind.TWO_DIM), -1.0
         )
         # gaussian(24, 1)'s bound at n = 2 does not vouch, so its dense det2
         # is assembled and factored; the phase tracking may refuse afterwards

@@ -2,7 +2,7 @@
 
 Everything runs in-process through main(argv), so exit codes are
 return values rather than SystemExit side effects.  The exit-code
-contract: 0 success, 1 usage/configuration, 2 refinement refused,
+contract: 0 success, 1 usage/configuration, 2 refused,
 3 verification failure.
 """
 
@@ -124,7 +124,7 @@ def test_coarse_grid_exits_2(tmp_path, profile_file, capsys):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "refinement needed" in err
+    assert err.startswith("refused: ") and "increase the node count" in err
     assert "-12" in err  # the unresolved interval is named
 
 
@@ -160,8 +160,7 @@ def test_det2_out_of_double_range_exits_2_without_refinement_advice(tmp_path, pr
                                                                    capsys):
     # sech2(1e5, 1): the sweep's det2 leaves double range near nu = 0 (witten
     # runs n = 2 .. 32 at N = 400 on 401 points of [-1, 1]), where
-    # no finer grid helps, so past its "refinement needed" label the refusal
-    # does not ask for one
+    # no finer grid helps, so the refusal asks for none, in its label or its text
     profile = profile_file({"kind": "sech2", "amplitude": 1e5, "width": 1.0})
     for command in ("ssf-1d", "ssf-2d", "witten"):
         code = main([
@@ -170,7 +169,7 @@ def test_det2_out_of_double_range_exits_2_without_refinement_advice(tmp_path, pr
         assert code == 2, command
         err = capsys.readouterr().err
         assert "not finite" in err and "(interval " in err
-        assert "refine the" not in err
+        assert "refine the" not in err and "refinement needed" not in err
 
 
 def test_ssf2d_constant_input(tmp_path, profile_file):

@@ -405,7 +405,7 @@ def test_pushnitski_block_boundaries():
 def test_pushnitski_working_set_does_not_grow_with_lam(traced_peak):
     curve = ssf_mollified(GAUSS, 8, np.linspace(-12.0, 12.0, 401), 400)
     evaluator = ssf._extended_evaluator(curve)
-    lam = ssf._lambda_grid(12.0, 160, 1e-6)  # witten_index's lam grid
+    lam = ssf._lambda_grid(12.0, 160)  # 160 geometric lam from 1e-6 to the cap 14400
     peak, _ = traced_peak(lambda: pushnitski(evaluator, lam))
     assert peak < 2e6
     # four copies of the grid: the same blocks, so only the lam vectors grow
@@ -413,21 +413,6 @@ def test_pushnitski_working_set_does_not_grow_with_lam(traced_peak):
     peak_four, values = traced_peak(lambda: pushnitski(evaluator, four))
     assert peak_four <= peak + 2 * four.nbytes
     assert_array_equal(values, np.tile(pushnitski(evaluator, lam), 4))
-
-
-def test_pushnitski_working_set_of_a_schedule_does_not_grow_with_lam(traced_peak):
-    curves = ssf_mollified(GAUSS, (2, 4, 8, 16, 32), np.linspace(-12.0, 12.0, 401), 400)
-    evaluators = tuple(ssf._extended_evaluator(curve) for curve in curves)
-    lam = ssf._lambda_grid(12.0, 160, 1e-6)  # witten_index's lam grid
-    peak, values = traced_peak(lambda: pushnitski(evaluators, lam))
-    assert values.shape == (5, len(lam))
-    assert peak < 2e6
-    # four copies of the grid: the same blocks, so only the lam vectors and
-    # the (5, lam) outputs grow
-    four = np.tile(lam, 4)
-    peak_four, values_four = traced_peak(lambda: pushnitski(evaluators, four))
-    assert peak_four <= peak + 2 * (len(evaluators) + 1) * four.nbytes
-    assert_array_equal(values_four, np.tile(values, 4))
 
 
 def _gauss_legendre_in_t(source, lams, points=80):
@@ -463,12 +448,14 @@ def _gauss_legendre_in_t(source, lams, points=80):
 def test_arcsine_rule_matches_a_gauss_legendre_reference():
     nu = np.linspace(-12.0, 12.0, 401)
     curves = ssf_mollified(GAUSS, (2, 4, 8, 16, 32), nu, 400)
-    # witten_index's grid and its five curves, with the eta tail past lam = 144
-    lam = ssf._lambda_grid(12.0, 160, 1e-6)
+    # the five curves of witten_index's defaults on 160 geometric lam up to
+    # the cap 14400, with the eta tail past lam = 144
+    lam = ssf._lambda_grid(12.0, 160)
     assert lam[-1] > 144.0
-    evaluators = tuple(ssf._extended_evaluator(curve) for curve in curves)
+    evaluators = [ssf._extended_evaluator(curve) for curve in curves]
     worst = 0.0
-    for evaluator, values in zip(evaluators, pushnitski(evaluators, lam)):
+    for evaluator in evaluators:
+        values = pushnitski(evaluator, lam)
         worst = max(worst, np.max(np.abs(values - _gauss_legendre_in_t(evaluator, lam))))
     # ssf_2d_curve's constant tail, out to lam = 1e4 where most of t is in it
     wide = np.geomspace(0.1, 1e4, 61)

@@ -3,7 +3,11 @@
 delta_r integrates a piecewise-linear curve against (mu - lam)^(-2)
 in closed form, so constants must come back exactly and a step curve
 must come back as the elementary value c*(1 - lam)^(-1) scaled by
-(-lam); both have pencil-and-paper answers.  The full pipeline is run
+(-lam); both have pencil-and-paper answers.  The pipeline's own
+Delta_r comes from the 1-D curves by the trace formula, exact for their
+linear interpolant; it is held to a Gauss-Legendre rule with a quad
+tail, and to the route through 2-D curves and delta_r that it
+replaced.  The full pipeline is run
 on a coarse configuration only, the production-scale run being the
 acceptance suite's business.
 """
@@ -14,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import integrate
 
 from wittenlab import (
     SSFCurve,
@@ -22,12 +27,22 @@ from wittenlab import (
     builtin_profile,
     c0,
     delta_r,
+    pushnitski,
+    ssf_mollified,
     witten_index,
 )
-from wittenlab import witten
+from wittenlab import ssf, witten
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 ZERO = builtin_profile("gaussian", 0.0, 1.0)
+# witten_index's defaults: its n schedule, its lam schedule and its nu grid at N = 400
+SCHEDULE = (2, 4, 8, 16, 32)
+LAMS = np.sort([-(2.0**-k) for k in range(9)])
+
+
+@pytest.fixture(scope="module")
+def default_curves():
+    return ssf_mollified(GAUSS, SCHEDULE, np.linspace(-12.0, 12.0, 401), 400)
 
 
 def two_dim(grid, values):
@@ -65,8 +80,6 @@ def test_delta_r_step_curve():
 
 def test_delta_r_linear_segment_quadrature():
     # one linear cell against adaptive quadrature of the same integrand
-    from scipy import integrate
-
     grid = np.array([0.5, 2.0])
     values = np.array([0.1, 0.7])
     curve = two_dim(grid, values)
@@ -157,6 +170,53 @@ def test_witten_index_coarse_run():
     # the per-lam values are already near the reference before extrapolation
     assert np.max(np.abs(report.delta_r_values - c0(GAUSS))) < 0.05
     assert report.provenance["N"] == 200
+
+
+def _resolvent_mean_by_quadrature(curve, lam, points=20):
+    """(1/2) integral of xi_n (nu^2 - lam)^(-3/2): Gauss-Legendre per cell, quad on the eta tail."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    grid, h = curve.grid, np.diff(curve.grid)
+    nu = grid[:-1, None] + 0.5 * h[:, None] * (x + 1.0)
+    f = np.interp(nu, grid, curve.values) * (nu * nu - lam) ** -1.5
+    inner = np.sum(0.5 * h * (f @ w))
+    n, total = curve.provenance["n"], curve.provenance["total_integral"]
+
+    def tail(s):
+        eta = lambda v: total / (2.0 * math.pi) * n * n / (v * v + n * n) * (v * v - lam) ** -1.5
+        return integrate.quad(eta, s, math.inf, epsabs=1e-18, epsrel=1e-13, limit=200)[0]
+
+    return 0.5 * (inner + tail(-grid[0]) + tail(grid[-1]))
+
+
+def test_resolvent_means_match_a_gauss_legendre_reference(default_curves):
+    means = ssf._resolvent_means(default_curves, LAMS)
+    assert means.shape == (len(SCHEDULE), len(LAMS))
+    reference = [[_resolvent_mean_by_quadrature(c, lam) for lam in LAMS] for c in default_curves]
+    # the means reach about 72 at lam = -1/256, where 1e-13 is a few ulp
+    assert np.max(np.abs(means - reference)) <= 1e-13
+
+
+def test_witten_index_matches_the_route_through_2d_curves(default_curves):
+    """The closed-form Delta_r against the arcsine transform and delta_r of each 2-D curve.
+
+    The route it replaced: 160 geometric lam up to the cap 14400, on which
+    the 2-D curve is held constant above the cap.  That error is linear in
+    lam, so the lam limit removes it from the index but not from the
+    per-lam values, which move by about 1.9e-6 |lam|.
+    """
+    lam_grid = ssf._lambda_grid(12.0, 160)
+    deltas = []
+    for curve in default_curves:
+        xi2d = pushnitski(ssf._extended_evaluator(curve), lam_grid)
+        deltas.append(delta_r(SSFCurve(lam_grid, xi2d, SSFKind.TWO_DIM), LAMS))
+    # the lam limit of each n, then second-order Richardson in n = 16, 32
+    limits = [d[-1] - (d[-1] - d[-2]) / (LAMS[-1] - LAMS[-2]) * LAMS[-1] for d in deltas]
+    old_index = limits[-1] + (limits[-1] - limits[-2]) / 3.0
+    report = witten_index(GAUSS)
+    assert abs(report.extrapolated_index - old_index) <= 1e-10
+    assert "lambda_cells" not in report.provenance
+    old_deltas = deltas[-1] + (deltas[-1] - deltas[-2]) / 3.0
+    assert np.all(np.abs(report.delta_r_values - old_deltas) <= 2e-6 * np.abs(LAMS))
 
 
 def test_witten_index_sign_follows_amplitude():
