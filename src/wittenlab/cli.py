@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -72,8 +73,8 @@ def _load_profile(args) -> PotentialProfile:
 
 def _nu_points(args) -> Optional[int]:
     """The sweep node count, checked; unset (witten, verify) stays None, the library's default."""
-    if args.nu_max <= 0.0:
-        raise ValueError("--nu-max must be positive")
+    if not 0.0 < args.nu_max < math.inf:
+        raise ValueError("--nu-max must be positive and finite")
     if args.nu_points is not None and args.nu_points < 3:
         raise ValueError("--nu-points must be at least 3")
     return args.nu_points
@@ -105,8 +106,8 @@ def cmd_ssf1d(args) -> int:
 
 def cmd_ssf2d(args) -> int:
     profile = _load_profile(args)
-    if args.lambda_min <= 0.0 or args.lambda_max <= args.lambda_min:
-        raise ValueError("need 0 < --lambda-min < --lambda-max")
+    if not 0.0 < args.lambda_min < args.lambda_max < math.inf:
+        raise ValueError("need 0 < --lambda-min < --lambda-max < inf")
     if args.lambda_points < 2:
         raise ValueError("--lambda-points must be at least 2")
     lam_grid = np.geomspace(args.lambda_min, args.lambda_max, args.lambda_points)

@@ -13,14 +13,16 @@ from the 1-D one by the arcsine-weighted transform
     xi_2d(lam) = (1/pi) * int_{-sqrt(lam)}^{sqrt(lam)} xi(nu) (lam - nu^2)^(-1/2) dnu,
 
 never by discretizing the 2-D operators.  It maps a constant to itself.
-A sampled (piecewise-linear) curve is transformed in closed form over a
-whole lam grid in one call, in fixed blocks of lam: each grid cell gives
-exact hat weights and the eta_n tail an arctan.  The index needs no
-2-D curve: its Delta_r is a resolvent mean of the 1-D curve, exact for
-its interpolant in the same way.  Two trace identities are exposed as
-residual reports: the resolvent trace formula against a Fourier-side
-oracle, and the Stieltjes pair equating the lam-integral of xi_2d
-against the nu-integral of the 1-D curve.
+A sampled curve is linear between its nodes, and each integral of one
+against a weight is exact for that interpolant by one per-cell rule
+(_product_weights): the arcsine transform, over a whole lam grid in one
+call in fixed blocks of lam, with the eta_n tail an arctan; the index's
+Delta_r, a resolvent mean of the 1-D curve with no 2-D curve between;
+and the lam side of the Stieltjes pair, which witten.delta_r shares.
+Two trace identities are exposed as residual reports: the resolvent
+trace formula against a Fourier-side oracle, and the Stieltjes pair
+equating the lam-integral of xi_2d against the nu-integral of the 1-D
+curve.
 
 Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
@@ -276,8 +278,8 @@ def ssf_mollified(
 # lam rows per block of (lam, node) weights: a block stays in cache, and
 # the working set does not grow with the number of lam.
 _LAMBDA_BLOCK = 16
-# Geometric lam cells of the Stieltjes-pair quadrature.
-_LAMBDA_CELLS = 160
+# Geometric lam points of the Stieltjes pair's lam side.
+_LAMBDA_POINTS = 161
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,24 +311,37 @@ class _ExtendedCurve:
         return self.total / (2.0 * math.pi) * (n / q) * arcs
 
 
+def _product_weights(grid, G0, G1):
+    """Node weights of the exact integral of any linear interpolant on grid against a weight w.
+
+    G0 and G1 are antiderivatives, at the nodes along the last axis, of w
+    and of x w; G0 has the shape of the weights.  Cell j carries dG0_j, of
+    which its local coordinate (x - g_j) / h_j takes
+    l_j = (dG1_j - g_j dG0_j) / h_j: that part moves from the left node to
+    the right one.  The dtype is that of l, so a complex weight gives
+    complex node weights.
+    """
+    d0 = np.diff(G0, axis=-1)
+    local = (np.diff(G1, axis=-1) - grid[:-1] * d0) / np.diff(grid)
+    weights = np.zeros_like(G0, dtype=local.dtype)
+    weights[..., :-1] = d0 - local
+    weights[..., 1:] += local
+    return weights
+
+
 def _hat_weights(grid, roots):
     """Per root r, node weights of the exact t-integral of any linear interpolant on grid.
 
-    With nu = r sin t and t_j = arcsin(g_j / r), clipped to +-pi/2, cell j
-    spans dt_j and its local coordinate (nu - g_j) / h_j integrates to
-    (r cos t_j - r cos t_{j+1} - g_j dt_j) / h_j, moved from the left node
-    to the right one.  Also returns the t off the grid: t_0 + pi/2 below
-    it and pi/2 - t_N above it.
+    With nu = r sin t and t_j = arcsin(g_j / r), clipped to +-pi/2, the
+    weight dt/dnu has the antiderivatives t and -r cos t (_product_weights).
+    Also returns the t off the grid: t_0 + pi/2 below it and pi/2 - t_N
+    above it.
     """
     x = np.clip(grid / roots[:, None], -1.0, 1.0)
     t = np.arcsin(x)
-    # r cos t, with 1 - x^2 factored so that it does not cancel near x = +-1
-    r_cos = roots[:, None] * np.sqrt((1.0 - x) * (1.0 + x))
-    dt = np.diff(t, axis=-1)
-    local = (r_cos[:, :-1] - r_cos[:, 1:] - grid[:-1] * dt) / np.diff(grid)
-    weights = np.zeros(t.shape)
-    weights[:, :-1] = dt - local
-    weights[:, 1:] += local
+    # -r cos t, with 1 - x^2 factored so that it does not cancel near x = +-1
+    neg_r_cos = -roots[:, None] * np.sqrt((1.0 - x) * (1.0 + x))
+    weights = _product_weights(grid, t, neg_r_cos)
     return weights, t[:, 0] + 0.5 * math.pi, 0.5 * math.pi - t[:, -1]
 
 
@@ -507,27 +522,42 @@ def _resolvent_means(curves: Sequence[SSFCurve], lams: np.ndarray) -> np.ndarray
 
     Exact for the linear interpolant on the curves' shared grid: with
     r = sqrt(nu^2 - lam), G0 = nu/r and G1 = lam/r are (-lam) times the
-    antiderivatives of the weight and of nu times it, so cell j gives the
-    hat weights of _hat_weights from dG0_j and (dG1_j - g_j dG0_j)/h_j.
-    Past each grid end s, (total/2pi) _eta_tail(s, n, lam).  At the
-    index's lam the weight is about one nu spacing wide, where a
-    trapezoid (_half_weight_integral) is off by 5e-3 in the index.
+    antiderivatives of the weight and of nu times it (_product_weights).
+    Past each end of the symmetric grid (_nu_grid), (total/2pi)
+    _eta_tail(nu_max, n, lam).  At the index's lam the weight is about
+    one nu spacing wide, where a trapezoid (_half_weight_integral) is off
+    by 5e-3 in the index.
     """
     grid = curves[0].grid
     col = lams[:, None]
     r = np.sqrt(grid * grid - col)
-    d0 = np.diff(grid / r, axis=-1)
-    local = (np.diff(col / r, axis=-1) - grid[:-1] * d0) / np.diff(grid)
-    weights = np.zeros(r.shape)
-    weights[:, :-1] = d0 - local
-    weights[:, 1:] += local
+    weights = _product_weights(grid, grid / r, col / r)
     means = np.array([c.values for c in curves]) @ weights.T / (-lams)
-    ends = (-grid[0], grid[-1])
     for row, curve in zip(means, curves):
         n, total = curve.provenance["n"], curve.provenance["total_integral"]
-        tails = [sum(_eta_tail(s, n, lam) for s in ends).real for lam in lams]
+        tails = [2.0 * _eta_tail(grid[-1], n, lam).real for lam in lams]
         row += total / (2.0 * math.pi) * np.array(tails)
     return 0.5 * means
+
+
+def _stieltjes_means(grid, values, z):
+    """integral over (0, inf) of xi(mu) (mu - z)^(-2) dmu for a sampled 2-D curve.
+
+    Exact for the linear interpolant on the positive grid, continued as a
+    constant below its first sample and above its last: with u = mu - z,
+    G0 = -1/u and G1 = ln u - z/u are the antiderivatives of the weight
+    and of mu times it (_product_weights), and the constant ends add
+    1/(-z) - 1/u_0 and 1/u_N to the end nodes.  A constant therefore
+    returns c/(-z).  z may be an array, of any shape, or complex off
+    [0, inf); each entry's row is reduced on its own, so it equals the
+    scalar call.
+    """
+    z = np.asarray(z)[..., None]
+    u = grid - z
+    weights = _product_weights(grid, -1.0 / u, np.log(u) - z / u)
+    weights[..., 0] += 1.0 / -z[..., 0] - 1.0 / u[..., 0]
+    weights[..., -1] += 1.0 / u[..., -1]
+    return (weights * values).sum(axis=-1)
 
 
 def _half_weight_integral(curve: SSFCurve, z: complex) -> complex:
@@ -536,7 +566,8 @@ def _half_weight_integral(curve: SSFCurve, z: complex) -> complex:
     Trapezoid over the sampled window plus the closed-form eta tail
     (_eta_tail); the neglected phase tail decays like nu^-5 after
     weighting.  It serves the trace checks: the Krein residual at z = -1,
-    N = 800 reads 9.3e-9 here and 1.6e-6 with _resolvent_means.
+    N = 800 reads 9.3e-9 here and 1.6e-6 with _resolvent_means, and the
+    Stieltjes one at n = 8, N = 400 5.5e-6 here and 1.3e-5 with it.
     """
     n = curve.provenance.get("n")
     total = curve.provenance.get("total_integral", 0.0)
@@ -597,15 +628,6 @@ def _lambda_grid(nu_max: float, points: int) -> np.ndarray:
     return np.geomspace(1e-6, 100.0 * max(1.0, nu_max * nu_max), points)
 
 
-def _lambda_cells(nu_max: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric cell edges (0, ... , Lambda] and their midpoints."""
-    edges = np.concatenate(([0.0], _lambda_grid(nu_max, cells)))
-    mids = np.empty(cells)
-    mids[0] = 0.5 * edges[1]
-    mids[1:] = np.sqrt(edges[1:-1] * edges[2:])
-    return edges, mids
-
-
 def trace_identity_eq1(
     profile: PotentialProfile,
     n: int,
@@ -620,23 +642,24 @@ def trace_identity_eq1(
     """Stieltjes-pair residual between the 2-D and 1-D trace integrals.
 
     lhs = integral over (0, inf) of xi_2d(lam) (lam - z)^(-2) dlam,
-    with xi_2d produced by the arcsine transform on a
-    geometric lam grid whose cell weights are the exact integrals of
-    (lam - z)^(-2), so constants telescope to 1/(-z) with no quadrature
-    error; the tail above the cap is the exact constant-tail term, and
-    a tail heavier than 10 percent of the total is refused as a
-    coverage problem.  rhs = (1/2) integral of xi_n(nu)
-    (nu^2 - z)^(-3/2) dnu.  With synthetic_constant set, both sides run
-    on the constant function instead of the determinant pipeline, where
-    the exact common value is c/(-z).  The rhs is then c K(0, z)
-    (_weight_tail), exact by construction, and the arcsine transform
-    returns c itself, so the synthetic line tests the lam-cell weights
-    only; the real Stieltjes line still runs the arcsine rule.
+    with xi_2d produced by the arcsine transform at 161 geometric lam
+    from 1e-6 to the cap (_lambda_grid) and integrated exactly as its
+    linear interpolant, held constant below the first lam and above the
+    cap (_stieltjes_means, the rule of delta_r), so constants come back
+    as c/(-z) with no quadrature error.  A constant-tail term above the
+    cap heavier than 10 percent of the total is refused as a coverage
+    problem.  rhs = (1/2) integral of xi_n(nu) (nu^2 - z)^(-3/2) dnu.
+    With synthetic_constant set, both sides run on the constant function
+    instead of the determinant pipeline, where the exact common value is
+    c/(-z).  The rhs is then c K(0, z) (_weight_tail), exact by
+    construction, and the arcsine transform returns c itself, so the
+    synthetic line tests the lam weights only; the real Stieltjes line
+    still runs the arcsine rule.
     """
     _check_threads(threads)
     n = _check_mollifier_index(n)
     z = _require_off_halfline(z)
-    params = {"n": n, "z": z, "N": N, "nu_max": nu_max, "lambda_cells": _LAMBDA_CELLS}
+    params = {"n": n, "z": z, "N": N, "nu_max": nu_max, "lambda_points": _LAMBDA_POINTS}
 
     if synthetic_constant is not None:
         c = float(synthetic_constant)
@@ -652,13 +675,10 @@ def trace_identity_eq1(
         rhs = _half_weight_integral(curve, z)
         params["nu_points"] = len(nu_grid)
 
-    edges, mids = _lambda_cells(nu_max, _LAMBDA_CELLS)
-    weights = 1.0 / (edges[:-1] - z) - 1.0 / (edges[1:] - z)
-    cap = float(edges[-1])
-    xi2d = pushnitski(evaluator, np.append(mids, cap))
-    core = complex(np.sum(xi2d[:-1] * weights))
-    tail_term = float(xi2d[-1]) / (cap - z)
-    lhs = core + tail_term
+    lam = _lambda_grid(nu_max, _LAMBDA_POINTS)
+    xi2d = pushnitski(evaluator, lam)
+    lhs = complex(_stieltjes_means(lam, xi2d, z))
+    tail_term = float(xi2d[-1]) / (float(lam[-1]) - z)
     if abs(tail_term) > 0.1 * max(abs(lhs), 1e-30):
         raise CoverageError(
             f"constant-tail term {abs(tail_term):.3e} exceeds 10% of the total "

@@ -28,10 +28,14 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .profiles import PotentialProfile, _check_mollifier_index, c0
-from .ssf import SSFCurve, SSFKind, _check_threads, _nu_grid, _resolvent_means, ssf_mollified
+from .ssf import SSFCurve, SSFKind, _check_threads, _nu_grid, ssf_mollified
+from .ssf import _resolvent_means, _stieltjes_means
 from .ssf import pushnitski  # noqa: F401  (not called: perfbench/tracing.py patches this name)
 
 __all__ = ["WittenReport", "delta_r", "witten_index"]
+
+# the lam schedule of the index, increasing toward 0
+_LAMBDA_SCHEDULE = tuple(-(2.0**-k) for k in range(9))
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,13 @@ def delta_r(xi_2d: SSFCurve, lam: Union[float, np.ndarray]) -> Union[float, np.n
     """(-lam) times the (mu - lam)^(-2)-weighted integral of a 2-D curve.
 
     The sampled curve is integrated exactly as the piecewise-linear
-    interpolant (elementary antiderivatives per cell); below the first
-    sample and above the last the curve is continued as a constant,
-    both segments integrating in closed form.  A constant curve
-    therefore returns exactly its value for every lam < 0.  A scalar
-    lam returns a float; a vector of lam is evaluated as one (lam, cell)
-    array, each entry equal to the scalar call.  Kept though witten_index
-    does not call it: it is public, and perfbench/tracing.py wraps it.
+    interpolant, continued as a constant below the first sample and
+    above the last (ssf._stieltjes_means, the rule of the Stieltjes
+    pair's lam side).  A constant curve therefore returns its value for
+    every lam < 0.  A scalar lam returns a float; a vector of lam is
+    evaluated as one (lam, node) array, each entry equal to the scalar
+    call.  Kept though witten_index does not call it: it is public, and
+    perfbench/tracing.py wraps it.
     """
     lams = np.asarray(lam, dtype=float)
     bad = lams[~(lams < 0.0)]
@@ -94,19 +98,9 @@ def delta_r(xi_2d: SSFCurve, lam: Union[float, np.ndarray]) -> Union[float, np.n
         raise ValueError(f"lam must be negative, got {bad[0]:g}")
     if xi_2d.kind is not SSFKind.TWO_DIM:
         raise ValueError("delta_r expects a 2-D curve")
-    g = xi_2d.grid
-    v = xi_2d.values
-    if len(g) < 2:
+    if len(xi_2d.grid) < 2:
         raise ValueError("curve must have at least 2 samples")
-    col = lams[..., None]
-    u = g - col
-    bottom = v[0] * (1.0 / (-lams) - 1.0 / u[..., 0])
-    slope = np.diff(v) / np.diff(g)
-    intercept = v[:-1] - slope * g[:-1]
-    cells = (intercept + slope * col) * (1.0 / u[..., :-1] - 1.0 / u[..., 1:]) + slope * np.log(
-        u[..., 1:] / u[..., :-1]
-    )
-    out = (-lams) * (bottom + np.sum(cells, axis=-1) + v[-1] / u[..., -1])
+    out = (-lams) * _stieltjes_means(xi_2d.grid, xi_2d.values, lams)
     return out if out.ndim else float(out)
 
 
@@ -127,7 +121,6 @@ def _order_estimates(errors: Sequence[float], ratios: Sequence[float], floor: fl
 def witten_index(
     profile: PotentialProfile,
     n_schedule: Sequence[int] = (2, 4, 8, 16, 32),
-    lambda_schedule: Optional[Sequence[float]] = None,
     *,
     N: int = 400,
     nu_max: float = 12.0,
@@ -137,10 +130,10 @@ def witten_index(
     """Full index pipeline against the closed-form reference.
 
     One mollified curve per schedule entry, all from one ssf_mollified
-    sweep over the schedule, each integrated to Delta_r on the lam
-    schedule by the trace formula (ssf._resolvent_means); the mollifier
-    is then extrapolated away at second order and lam is extrapolated
-    to 0 linearly.  The reported
+    sweep over the schedule, each integrated to Delta_r at the fixed lam
+    = -2^-k, k = 0 .. 8, by the trace formula (ssf._resolvent_means);
+    the mollifier is then extrapolated away at second order and lam is
+    extrapolated to 0 linearly from its last two values.  The reported
     delta_r_values belong to the mollifier-extrapolated curve (by
     linearity of every stage, these are the extrapolated combinations of
     the per-n values).
@@ -151,14 +144,7 @@ def witten_index(
         raise ValueError("n_schedule must be nonempty")
     if len(schedule) > 1 and not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    if lambda_schedule is None:
-        lambda_schedule = [-(2.0**-k) for k in range(9)]
-    lam_sched = np.sort(np.asarray(lambda_schedule, dtype=float))
-    # checked before the sweep, which a NaN or a repeated entry would otherwise run in full
-    if len(lam_sched) == 0 or not np.all(lam_sched < 0.0):
-        raise ValueError("lambda_schedule must be nonempty and negative")
-    if not (np.all(np.isfinite(lam_sched)) and np.all(np.diff(lam_sched) > 0.0)):
-        raise ValueError("lambda_schedule must be finite, with distinct entries")
+    lam_sched = np.array(_LAMBDA_SCHEDULE)
     reference = c0(profile)
     provenance = {"profile": profile.descriptor(), "N": N, "nu_max": nu_max}
 
@@ -182,8 +168,6 @@ def witten_index(
     delta_per_n = -lam_sched * _resolvent_means(curves, lam_sched)
 
     def lam_limit(deltas: np.ndarray) -> float:
-        if len(deltas) == 1:
-            return float(deltas[-1])
         lam1, lam0 = lam_sched[-2], lam_sched[-1]
         slope = (deltas[-1] - deltas[-2]) / (lam0 - lam1)
         return float(deltas[-1] - slope * lam0)

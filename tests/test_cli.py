@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,20 @@ def test_unknown_arguments_exit_1(capsys):
         assert main([command, "--threads", "2"]) == 1
 
 
-def test_sweep_points_validated(capsys):
-    """--nu-points reaches verify and witten and is checked before any work."""
+def test_sweep_points_validated(tmp_path, capsys):
+    """--nu-points and --nu-max reach every sweep and are checked before any work."""
     for command in ("verify", "witten"):
         code = main([command, "--nodes", "120", "--nu-max", "3", "--nu-points", "2"])
         assert code == 1
         assert "--nu-points must be at least 3" in capsys.readouterr().err
+    # a non-finite half-width is named as such, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("ssf-1d", "ssf-2d", "witten", "verify"):
+            for nu_max in ("inf", "nan", "0"):
+                out = [] if command == "verify" else ["--out", str(tmp_path / command)]
+                assert main([command, "--nu-max", nu_max, *out]) == 1, (command, nu_max)
+                assert "--nu-max must be positive and finite" in capsys.readouterr().err
 
 
 def test_help_exits_0():
@@ -186,12 +195,17 @@ def test_ssf2d_constant_input(tmp_path, profile_file):
 
 
 def test_ssf2d_bad_lambda_range(tmp_path, profile_file, capsys):
-    code = main([
-        "ssf-2d", "--profile", profile_file(GAUSS_DESC), "--constant-input",
-        "--lambda-min", "-1", "--out", str(tmp_path / "x"),
-    ])
-    assert code == 1
-    assert "lambda" in capsys.readouterr().err
+    profile = profile_file(GAUSS_DESC)
+    bounds = (("-1", "100"), ("0.1", "inf"), ("nan", "100"), ("0.1", "nan"), ("5", "5"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in bounds:
+            code = main([
+                "ssf-2d", "--profile", profile, "--constant-input",
+                "--lambda-min", lo, "--lambda-max", hi, "--out", str(tmp_path / "x"),
+            ])
+            assert code == 1, (lo, hi)
+            assert "need 0 < --lambda-min < --lambda-max < inf" in capsys.readouterr().err
 
 
 def test_witten_zero_profile(tmp_path, profile_file, capsys):

@@ -4,8 +4,9 @@ The transform is validated on inputs with closed-form images: any
 constant maps to itself exactly by the normalization of the arcsine
 weight, odd inputs map to zero, and xi(nu) = nu^2 maps to lam/2.  The
 trace identities run in a synthetic-constant mode where both sides
-collapse to the elementary value c/(-z), which pins the cell weights
-and tail handling before the determinant pipeline enters.
+collapse to the elementary value c/(-z), which pins the lam-side weights
+and tail handling before the determinant pipeline enters; the lam-side
+rule itself is held to a 30-digit reference on a sampled curve.
 """
 
 import numpy as np
@@ -623,6 +624,33 @@ def test_tail_integrals_match_a_30_digit_reference():
     assert worst <= 2e-12
 
 
+def test_stieltjes_means_match_a_30_digit_reference():
+    # a non-uniform piecewise-linear curve, constant below its first and above its last sample
+    mpmath = pytest.importorskip("mpmath")
+    k = np.arange(41)
+    grid = np.geomspace(1e-2, 500.0, 41) * (1.0 + 0.1 * np.sin(7.0 * k))
+    values = 0.3 + 0.2 * np.sin(3.0 * np.log(grid))
+    zs = (-1.0, -0.25, -1e-6, -1.0 + 0.5j, 0.5j)
+    worst = 0.0
+    with mpmath.workdps(30):
+        g = [mpmath.mpf(float(x)) for x in grid]
+        v = [mpmath.mpf(float(x)) for x in values]
+        for z in zs:
+            weight = lambda mu: (mu - mpmath.mpc(z)) ** -2
+            ref = v[0] * mpmath.quad(weight, [0, g[0]])
+            ref += v[-1] * mpmath.quad(weight, [g[-1], mpmath.inf])
+            for j in range(len(g) - 1):
+                slope = (v[j + 1] - v[j]) / (g[j + 1] - g[j])
+                cell = lambda mu: (v[j] + slope * (mu - g[j])) * weight(mu)
+                ref += mpmath.quad(cell, [g[j], g[j + 1]])
+            ref = complex(ref)
+            worst = max(worst, abs(ssf._stieltjes_means(grid, values, z) - ref) / abs(ref))
+    assert worst <= 1e-13
+    # each z of an array is reduced on its own (a complex array: compare complex scalars)
+    means = ssf._stieltjes_means(grid, values, np.array(zs))
+    assert_array_equal(means, [ssf._stieltjes_means(grid, values, complex(z)) for z in zs])
+
+
 def test_trace_identity_zero_profile():
     report = trace_identity_eq1(ZERO, 8, -1.0)
     assert report.lhs == 0.0 and report.rhs == 0.0
@@ -631,6 +659,11 @@ def test_trace_identity_zero_profile():
 def test_trace_identity_small_config():
     report = trace_identity_eq1(GAUSS, 4, -1.0, N=300, nu_max=8.0, threads=2)
     assert report.relative_residual < 1e-2
+    # n = 8, N = 400 and 401 nu: the lam side is the exact rule of 161 transformed lam
+    report = trace_identity_eq1(GAUSS, 8, -1.0)
+    assert report.params["lambda_points"] == 161
+    assert report.params["nu_points"] == 401
+    assert report.relative_residual <= 6e-6
 
 
 def test_trace_report_relative_residual():

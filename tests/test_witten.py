@@ -13,7 +13,6 @@ acceptance suite's business.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from wittenlab import (
     ssf_mollified,
     witten_index,
 )
-from wittenlab import ssf, witten
+from wittenlab import ssf
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 ZERO = builtin_profile("gaussian", 0.0, 1.0)
@@ -138,6 +137,7 @@ def test_witten_index_zero_profile():
     assert report.extrapolated_index == 0.0
     assert report.reference_c0 == 0.0
     assert report.abs_error == 0.0
+    assert_array_equal(report.lambda_samples, LAMS)  # the fixed lam schedule
 
 
 def test_witten_index_schedule_validation():
@@ -145,20 +145,6 @@ def test_witten_index_schedule_validation():
         witten_index(GAUSS, ())
     with pytest.raises(ValueError):
         witten_index(GAUSS, (4, 2))
-    with pytest.raises(ValueError):
-        witten_index(GAUSS, (2, 4), lambda_schedule=(1.0,))
-
-
-@pytest.mark.parametrize("schedule", ((-0.5, -0.25, -0.25), (-0.5, float("nan"))))
-def test_witten_index_refuses_a_bad_lambda_schedule_before_the_sweep(monkeypatch, schedule):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept before the lambda schedule was checked")
-
-    monkeypatch.setattr(witten, "ssf_mollified", no_sweep)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="lambda_schedule"):
-            witten_index(GAUSS, (2, 4), lambda_schedule=schedule)
 
 
 def test_witten_index_coarse_run():
