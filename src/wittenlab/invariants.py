@@ -67,7 +67,12 @@ def decay_ratio(profile: PotentialProfile, grid: QuadratureGrid) -> float:
 
 
 def origin_errors(profile: PotentialProfile, curves) -> list:
-    """|xi_n(0) - c0| for each mollified curve, in order."""
+    """|xi_n(0) - c0| for each mollified curve, in order.
+
+    The mollifier-limit check measures the very xi_n(0) that
+    witten_index extrapolates in n, each the lam -> 0- limit of its
+    curve's Delta_r.
+    """
     return [abs(float(curve.value_at(0.0)) - c0(profile)) for curve in curves]
 
 

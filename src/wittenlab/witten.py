@@ -9,7 +9,11 @@ which exists even though the operator is not Fredholm, and lands on
 integral(phi)/(2*pi): generically not an integer.  The forms agree by
 Fubini, the inner mu-integral being (pi/2) (nu^2 - lam)^(-3/2).  The
 pipeline takes Delta_r from each mollified 1-D curve in the second form,
-extrapolates the mollifier away, and finally lam to 0 linearly.
+exactly for its linear interpolant.  The weight (-lam/2)(nu^2 - lam)^(-3/2)
+has unit mass and concentrates at nu = 0 as lam -> 0-, and the eta tail
+past the sampled window carries a factor -lam, so the limit of that
+Delta_r is the interpolant at 0: the per-n index is xi_n(0), which
+Delta_r approaches as sqrt|lam| (linearly when 0 falls inside a cell).
 
 The mollifier extrapolation assumes second-order convergence, which is
 the exact order of the closed-form eta discrepancy; the observed
@@ -49,7 +53,6 @@ class WittenReport:
     reference_c0: float
     abs_error: float
     observed_order_n: tuple = ()
-    observed_order_lambda: tuple = ()
     low_confidence: bool = False
     provenance: Mapping = field(default_factory=dict)
 
@@ -59,11 +62,14 @@ class WittenReport:
             raise ValueError("lambda_samples must be a nonempty vector")
         if np.any(lam >= 0.0) or (len(lam) > 1 and not np.all(np.diff(lam) > 0.0)):
             raise ValueError("lambda_samples must be negative, strictly increasing toward 0")
+        deltas = np.asarray(self.delta_r_values, dtype=float)
+        if deltas.shape != lam.shape:
+            raise ValueError("delta_r_values must have the shape of lambda_samples")
         expected = abs(self.extrapolated_index - self.reference_c0)
         if not math.isclose(self.abs_error, expected, rel_tol=0.0, abs_tol=1e-15):
             raise ValueError("abs_error is inconsistent with index and reference")
         object.__setattr__(self, "lambda_samples", lam)
-        object.__setattr__(self, "delta_r_values", np.asarray(self.delta_r_values, dtype=float))
+        object.__setattr__(self, "delta_r_values", deltas)
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,7 +80,6 @@ class WittenReport:
             "reference_c0": float(self.reference_c0),
             "abs_error": float(self.abs_error),
             "observed_order_n": [float(v) for v in self.observed_order_n],
-            "observed_order_lambda": [float(v) for v in self.observed_order_lambda],
             "low_confidence": bool(self.low_confidence),
             "provenance": dict(self.provenance),
         }
@@ -104,15 +109,15 @@ def delta_r(xi_2d: SSFCurve, lam: Union[float, np.ndarray]) -> Union[float, np.n
     return out if out.ndim else float(out)
 
 
-def _order_estimates(errors: Sequence[float], ratios: Sequence[float], floor: float) -> list:
+def _order_estimates(errors: Sequence[float], ratios: Sequence[float]) -> list:
     """log-ratio convergence orders from successive differences.
 
-    Differences at or below the floor are treated as converged and
-    produce no estimate rather than a noise-driven order.
+    Differences at or below 1e-12 are treated as converged and produce
+    no estimate rather than a noise-driven order.
     """
     orders = []
     for k in range(len(errors) - 1):
-        if errors[k] <= floor or errors[k + 1] <= floor:
+        if errors[k] <= 1e-12 or errors[k + 1] <= 1e-12:
             continue
         orders.append(math.log(errors[k] / errors[k + 1]) / math.log(ratios[k]))
     return orders
@@ -130,13 +135,12 @@ def witten_index(
     """Full index pipeline against the closed-form reference.
 
     One mollified curve per schedule entry, all from one ssf_mollified
-    sweep over the schedule, each integrated to Delta_r at the fixed lam
-    = -2^-k, k = 0 .. 8, by the trace formula (ssf._resolvent_means);
-    the mollifier is then extrapolated away at second order and lam is
-    extrapolated to 0 linearly from its last two values.  The reported
-    delta_r_values belong to the mollifier-extrapolated curve (by
-    linearity of every stage, these are the extrapolated combinations of
-    the per-n values).
+    sweep over the schedule.  The per-n index is the curve's interpolant
+    at nu = 0, the exact lam -> 0- limit of its Delta_r, and the mollifier
+    is extrapolated away at second order from the last two n.  The
+    reported delta_r_values are the same extrapolation of Delta_r at the
+    fixed lam = -2^-k, k = 0 .. 8, from the trace formula on the last two
+    curves (ssf._resolvent_means); they tend to the index as lam -> 0-.
     """
     _check_threads(threads)
     schedule = tuple(_check_mollifier_index(n) for n in n_schedule)
@@ -164,50 +168,29 @@ def witten_index(
     provenance["nu_points"] = len(nu_grid)
 
     curves = ssf_mollified(profile, schedule, nu_grid, N, threads=threads)
+    index_per_n = np.array([curve.value_at(0.0) for curve in curves])
     # the trace formula in closed form: Delta_r = (-lam/2) integral xi_n (nu^2 - lam)^(-3/2) dnu
-    delta_per_n = -lam_sched * _resolvent_means(curves, lam_sched)
-
-    def lam_limit(deltas: np.ndarray) -> float:
-        lam1, lam0 = lam_sched[-2], lam_sched[-1]
-        slope = (deltas[-1] - deltas[-2]) / (lam0 - lam1)
-        return float(deltas[-1] - slope * lam0)
-
-    index_per_n = np.array([lam_limit(d) for d in delta_per_n])
-    low_confidence = False
+    deltas = -lam_sched * _resolvent_means(curves[-2:], lam_sched)
     if len(schedule) >= 2:
         r = schedule[-1] / schedule[-2]
-        extrapolated = delta_per_n[-1] + (delta_per_n[-1] - delta_per_n[-2]) / (r * r - 1.0)
+        deltas = deltas[-1] + (deltas[-1] - deltas[-2]) / (r * r - 1.0)
         index = index_per_n[-1] + (index_per_n[-1] - index_per_n[-2]) / (r * r - 1.0)
     else:
-        extrapolated = delta_per_n[0]
-        index = float(index_per_n[0])
-        low_confidence = True
+        deltas, index = deltas[0], index_per_n[0]
 
     steps = np.abs(np.diff(index_per_n))
     ratios = [schedule[k + 1] / schedule[k] for k in range(len(schedule) - 2)]
-    orders_n = _order_estimates(list(steps), ratios, floor=1e-12)
-    if len(schedule) < 3:
-        low_confidence = True
-    elif orders_n and any(abs(o - 2.0) > 1.0 for o in orders_n[-2:]):
-        low_confidence = True
-
-    final_deltas = np.asarray(extrapolated, dtype=float)
-    lam_steps = np.abs(np.diff(final_deltas))
-    lam_ratios = [
-        (lam_sched[k] - lam_sched[k + 1]) / (lam_sched[k + 1] - lam_sched[k + 2])
-        for k in range(len(lam_sched) - 2)
-    ]
-    orders_lambda = _order_estimates(list(lam_steps), lam_ratios, floor=1e-10)
+    orders_n = _order_estimates(list(steps), ratios)
+    low_confidence = len(schedule) < 3 or any(abs(o - 2.0) > 1.0 for o in orders_n[-2:])
 
     return WittenReport(
         lambda_samples=lam_sched,
-        delta_r_values=final_deltas,
+        delta_r_values=deltas,
         n_schedule=schedule,
         extrapolated_index=float(index),
         reference_c0=reference,
         abs_error=abs(float(index) - reference),
         observed_order_n=tuple(orders_n),
-        observed_order_lambda=tuple(orders_lambda),
         low_confidence=low_confidence,
         provenance=provenance,
     )

@@ -7,9 +7,9 @@ must come back as the elementary value c*(1 - lam)^(-1) scaled by
 Delta_r comes from the 1-D curves by the trace formula, exact for their
 linear interpolant; it is held to a Gauss-Legendre rule with a quad
 tail, and to the route through 2-D curves and delta_r that it
-replaced.  The full pipeline is run
-on a coarse configuration only, the production-scale run being the
-acceptance suite's business.
+replaced.  Its lam -> 0- limit is the interpolant at nu = 0, which the
+index takes per n.  The full pipeline is run on a coarse configuration
+only, the production-scale run being the acceptance suite's business.
 """
 
 import math
@@ -130,6 +130,8 @@ def test_witten_report_validation():
         WittenReport(**{**good, "abs_error": 0.9})
     with pytest.raises(ValueError, match="nonempty"):
         WittenReport(**{**good, "lambda_samples": np.array([])})
+    with pytest.raises(ValueError, match="shape"):
+        WittenReport(**{**good, "delta_r_values": np.array([0.2, 0.2, 0.2])})
 
 
 def test_witten_index_zero_profile():
@@ -186,9 +188,11 @@ def test_witten_index_matches_the_route_through_2d_curves(default_curves):
     """The closed-form Delta_r against the arcsine transform and delta_r of each 2-D curve.
 
     The route it replaced: 160 geometric lam up to the cap 14400, on which
-    the 2-D curve is held constant above the cap.  That error is linear in
-    lam, so the lam limit removes it from the index but not from the
-    per-lam values, which move by about 1.9e-6 |lam|.
+    the 2-D curve is held constant above the cap, and a linear lam limit
+    through the last two lam.  The cap's error is linear in lam, so the
+    per-lam values move by about 1.9e-6 |lam|.  The index, now xi_n(0),
+    moves by 2.3e-8 and comes closer to c0: the linear limit assumed a
+    model that the sqrt|lam| approach of Delta_r does not follow.
     """
     lam_grid = ssf._lambda_grid(12.0, 160)
     deltas = []
@@ -199,7 +203,8 @@ def test_witten_index_matches_the_route_through_2d_curves(default_curves):
     limits = [d[-1] - (d[-1] - d[-2]) / (LAMS[-1] - LAMS[-2]) * LAMS[-1] for d in deltas]
     old_index = limits[-1] + (limits[-1] - limits[-2]) / 3.0
     report = witten_index(GAUSS)
-    assert abs(report.extrapolated_index - old_index) <= 1e-10
+    assert abs(report.extrapolated_index - old_index) <= 1e-7
+    assert report.abs_error <= abs(old_index - c0(GAUSS))
     assert "lambda_cells" not in report.provenance
     old_deltas = deltas[-1] + (deltas[-1] - deltas[-2]) / 3.0
     assert np.all(np.abs(report.delta_r_values - old_deltas) <= 2e-6 * np.abs(LAMS))
@@ -218,15 +223,41 @@ def test_witten_index_single_n_is_low_confidence():
     assert report.observed_order_n == ()
 
 
-def test_witten_index_lambda_limit_linearity():
-    """With a halving lam schedule the reported curve extrapolates linearly.
+def test_delta_r_tends_to_the_curve_at_0(default_curves):
+    """Delta_r(lam) of each real curve tends to xi_n(0) as lam -> 0-.
 
-    Delta_r(lam) of the model is smooth in lam near 0, so the linear
-    two-point limit must sit between nothing exotic: check the
-    extrapolated index against the last raw value's direction.
+    The weight (-lam/2)(nu^2 - lam)^(-3/2) has unit mass and shrinks to
+    nu = 0, and the eta tail carries a factor -lam.  On the default grid 0
+    is a node, where the interpolant has a kink, so the gap falls as
+    sqrt|lam|; with 400 points 0 falls mid-cell and the gap falls as |lam|.
     """
-    report = witten_index(GAUSS, (2, 4, 8), N=200, nu_max=6.0, threads=2)
-    # Richardson in n moved the answer closer to the reference than the
-    # best single-n lam-limit alone
-    assert report.abs_error <= 0.05
-    assert math.isfinite(report.extrapolated_index)
+    lams = -np.geomspace(1e-8, 1e-14, 7)
+
+    def gap(curve):
+        return np.abs(-lams * ssf._resolvent_means([curve], lams)[0] - curve.value_at(0.0))
+
+    for curve in default_curves[::2]:  # n = 2, 8, 32
+        rate = gap(curve) / np.sqrt(-lams)
+        assert rate.max() <= 1.01 * rate.min()
+        assert gap(curve)[-1] <= 3e-10
+    # below -1e-10 the linear gap of n = 32 meets rounding in the means
+    for curve in ssf_mollified(GAUSS, (2, 8, 32), np.linspace(-12.0, 12.0, 400), 400):
+        rate = gap(curve)[:3] / -lams[:3]
+        assert rate.max() <= 1.01 * rate.min()
+        assert gap(curve)[-1] <= 1e-14
+
+
+def test_witten_index_is_the_richardson_of_the_curves_at_0():
+    """The index is second-order Richardson in n of xi_n(0) on the last two n.
+
+    With 0 a grid node and with 0 mid-cell (an even point count); a
+    single n returns its xi_n(0) itself.
+    """
+    schedule = (2, 4, 8)
+    for nu_points in (200, None):  # the default grid last, for the single-n run
+        report = witten_index(GAUSS, schedule, N=200, nu_max=6.0, nu_points=nu_points)
+        grid = np.linspace(-6.0, 6.0, nu_points or 201)
+        at_0 = [c.value_at(0.0) for c in ssf_mollified(GAUSS, schedule, grid, 200)]
+        assert abs(report.extrapolated_index - (at_0[2] + (at_0[2] - at_0[1]) / 3.0)) <= 1e-15
+    single = witten_index(GAUSS, (4,), N=200, nu_max=6.0)
+    assert abs(single.extrapolated_index - at_0[1]) <= 1e-15
