@@ -20,10 +20,11 @@ blocks of one matrix per rate, its check point, from those
 checkpoints, all blocks at once, checks that each ends bit for bit
 where the next starts, and carries a first-order running error bound
 on the record (Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 3).  That vouches for a sweep in O(N) work and one block's worth
-of sequential steps, and the checkpoints never leave the call; the
-dense det2 remains the oracle of the tests and the fallback where the
-bound is too loose.
+ch. 3), in its adjoint form, so that the cancellation between the
+steps is kept.  That vouches for a sweep in O(N) work and one block's
+worth of sequential steps, and the checkpoints never leave the call.
+The dense det2 is the oracle of the tests and of the invariants, and
+no sweep falls back on it.
 
 Phase unwrapping is anchored at the leftmost sweep point, where the
 determinant must already be close to 1, and swept upward with a
@@ -141,11 +142,6 @@ def det2(T: np.ndarray) -> complex:
     if log_magnitude > 709.0 or trace.real < -709.0:
         return _from_polar(phase * cmath.exp(-1j * trace.imag), log_magnitude - trace.real)
     return _from_polar(phase, log_magnitude) * cmath.exp(-trace)
-
-
-def _det2_log_magnitude(T: np.ndarray) -> float:
-    """ln |det2(I + T)|, which stays finite where det2 saturates."""
-    return _slogdet(np.eye(len(T)) + T)[1] - np.trace(T).real
 
 
 # Nodes swept between two rescales of the lifted state.
@@ -447,10 +443,15 @@ def _running_error_bound(u, dx, rates, waves, coef, record, shift, b, exponent):
         [ t_0 u c_near      t_0 (1 - u c_osc)  t_0 u c_far      ]
         [ t_1 u c_near      -t_1 u c_osc       t_1 (1 + u c_far) ]
 
-    (u = weights_k, t_0 = e^((i w - n) dx_k), t_1 = e^(-2 n dx_k)), and
-    l_k is the rounding committed at node k.  So |delta_N| <= e_N with
-    e_(k+1) = |M_k| e_k + |l_k| componentwise, e_0 = 0 (the start state
-    (1, 0, 0) is exact).  With s = |c_near b| + |c_osc a_0| + |c_far a_1|
+    (u = weights_k, t_0 = e^((i w - n) dx_k), t_1 = e^(-2 n dx_k), and
+    t_0 = t_1 = 0 at the last node, whose a_0 and a_1 never reach b), and
+    l_k is the rounding committed at node k.  The start state (1, 0, 0) is
+    exact, so the error in the final b is the adjoint sum
+    sum_k r_k l_k, with the row r_k = e_0^T M_(N-1) ... M_(k+1)
+    (r_(N-1) = e_0^T), and |db| <= sum_k |r_k| . |l_k|.  The rows keep
+    the cancellation between the steps, which composing the moduli |M_k|
+    would throw away; by the triangle inequality the sum is never above
+    that composition's.  With s = |c_near b| + |c_osc a_0| + |c_far a_1|
     from the recorded products, |V| <= |u| s and the local terms are:
 
       - V: three products c x state and one by u (_CMUL each, on at most
@@ -465,15 +466,17 @@ def _running_error_bound(u, dx, rates, waves, coef, record, shift, b, exponent):
                   the product e^(-n dx) e^(i w dx)),
           tau_1 = 2 _ELEM + u + 4 u n dx                (e^(-n dx) squared).
 
-    The affine recurrence in e is composed over the nodes as a balanced
-    product of the maps e -> |M_k| e + |l_k|, vectorized over nodes and
-    matrices.  The state's moduli are those of the recorded products over
-    the coefficients'; an a_c with c = 0 never reaches b, so its size does
-    not matter, and a matrix with c_near = 0 gets no bound.  The rescales
-    are exact powers of two, so record[k], in units of 2^shift[k] of the
-    final state, is scaled to the final units first.  The final det2 = exp(log b + e ln 2 - c_near sum(u)) adds,
-    as absolute errors in the exponent: the complex log,
-    _ELEM (|log b| + 1); e fl(ln 2), 2 u |e| ln 2; the sum of the N
+    The rows are suffix products of the steps, taken by a balanced scan
+    over the nodes (_suffix_rows), vectorized over nodes and matrices;
+    their own rounding is of second order.  The state's moduli are those
+    of the recorded products over the coefficients'; an a_c with c = 0
+    never reaches b, so its size does not matter, and a matrix with
+    c_near = 0 gets no bound.  The rescales are exact powers of two, so
+    record[k], in units of 2^shift[k] of the final state, is scaled to
+    the final units first.  The final det2 =
+    exp(log b + e ln 2 - c_near sum(u)) adds, as absolute errors in the
+    exponent: the complex log, _ELEM (|log b| + 1); e fl(ln 2),
+    2 u |e| ln 2; the sum of the N
     weights, (N - 1) u sum|u| times |c_near|, and its product with
     c_near, _CMUL |c_near sum(u)|; the two additions, u times each sum;
     and the complex exp's own relative error, 2 _ELEM + u.
@@ -491,25 +494,23 @@ def _running_error_bound(u, dx, rates, waves, coef, record, shift, b, exponent):
     n_dx = np.zeros((N, len(rates)))
     n_dx[:-1] = np.multiply.outer(dx, rates)
     w_dx = np.zeros_like(n_dx)
-    w_dx[:-1] = np.multiply.outer(dx, np.abs(waves))
+    w_dx[:-1] = np.multiply.outer(dx, waves)
     t0 = np.exp(-n_dx)
     t0[-1] = 0.0
     t1 = t0 * t0
-    tau0 = 2.0 * _ELEM + _CMUL + 2.0 * _UNIT * (n_dx + w_dx)
+    tau0 = 2.0 * _ELEM + _CMUL + 2.0 * _UNIT * (n_dx + np.abs(w_dx))
     tau1 = 2.0 * _ELEM + _UNIT + 4.0 * _UNIT * n_dx
     local = np.empty((3, N, len(rates)))
     local[0] = l_v + _UNIT * (moduli[0] + v)
     local[1] = t0 * (l_v + (_UNIT + _CMUL + tau0) * (moduli[1] + v))
     local[2] = t1 * (l_v + (_UNIT + _CMUL + tau1) * (moduli[2] + v))
     local *= np.ldexp(1.0, shift)
-    # step[i, j] is the (i, j) entry of |M_k|, over (N, S)
-    step = np.empty((3, 3, N, len(rates)))
-    step[...] = np.abs(uc)
-    for row, sign in enumerate((1.0, -1.0, 1.0)):
-        step[row, row] = np.abs(uc[row] + sign)
-    step[1] *= t0
+    # step[i, j] is the (i, j) entry of M_k, over (N, S): row i is t_i times
+    # the unit row i plus (u c_near, -u c_osc, u c_far)
+    step = np.eye(3)[:, :, None, None] + uc * np.array([1.0, -1.0, 1.0])[:, None, None]
+    step[1] *= t0 * _cis(w_dx)
     step[2] *= t1
-    error_b = _compose_affine(step, local)[0]
+    error_b = (np.abs(_suffix_rows(step)) * local).sum(axis=(0, 1))
     log_b = np.log(b)
     log_det = log_b + exponent * _LN2
     near_sum = coef[0] * np.sum(u)
@@ -526,25 +527,32 @@ def _running_error_bound(u, dx, rates, waves, coef, record, shift, b, exponent):
     return error_b / np.abs(b) + final
 
 
-def _compose_affine(maps, shifts):
-    """e_K of e_(k+1) = maps[k] e_k + shifts[k] from e_0 = 0, by a balanced product.
+def _suffix_rows(steps):
+    """rows[:, k] = e_0^T steps[N - 1] ... steps[k + 1] for each k, by a balanced scan.
 
-    maps[i, j] is (K, ...), the (i, j) entries of the K maps, and
-    shifts[i] is (K, ...); each round composes the maps pairwise, later
-    after earlier, so K maps take log2(K) rounds of array operations
-    rather than K steps.  Returns e_K, shape (3, ...).
+    steps[i, j] is (N, ...), the (i, j) entries of N 3 x 3 maps.  The
+    up-sweep composes the maps pairwise, later after earlier, padding an
+    odd round with the identity, and keeps each round; the down-sweep
+    hands each pair the row of all the maps after it, which its later map
+    keeps and its earlier map takes times the later one.  So N maps take
+    2 log2(N) rounds of array operations rather than N steps.  Returns
+    rows, shape (3, N, ...).
     """
+    lanes = steps.shape[3:]
+    identity = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, *lanes))
+    rounds, maps = [], steps
     while maps.shape[2] > 1:
-        K = maps.shape[2]
-        early, late = slice(0, K - K % 2, 2), slice(1, K, 2)
-        later = maps[:, :, late]
-        composed_shifts = (later * shifts[None, :, early]).sum(axis=1) + shifts[:, late]
-        composed = (later[:, :, None] * maps[None, :, :, early]).sum(axis=1)
-        if K % 2:
-            composed = np.concatenate((composed, maps[:, :, -1:]), axis=2)
-            composed_shifts = np.concatenate((composed_shifts, shifts[:, -1:]), axis=1)
-        maps, shifts = composed, composed_shifts
-    return shifts[:, 0]
+        if maps.shape[2] % 2:
+            maps = np.concatenate((maps, identity), axis=2)
+        rounds.append(maps)
+        maps = (maps[:, :, None, 1::2] * maps[None, :, :, 0::2]).sum(axis=1)
+    rows = np.zeros((3, 1, *lanes), dtype=steps.dtype)
+    rows[0] = 1.0
+    for maps in reversed(rounds):
+        later = rows[:, : maps.shape[2] // 2]
+        earlier = (later[:, None] * maps[:, :, 1::2]).sum(axis=0)
+        rows = np.stack((earlier, later), axis=2).reshape(3, -1, *lanes)
+    return rows[:, : steps.shape[2]]
 
 
 def hs_norm(T: np.ndarray) -> float:

@@ -225,11 +225,12 @@ class MollifiedBSFamily:
     keeps one sign), so its det2 is the complex conjugate.  A family holds one
     profile on one grid; det2_sweep eliminates that structure for a
     whole schedule of n at once, in O(N) per point and n, and bounds
-    its rounding error at one check point per n.  matrix(n, nu) assembles
-    one dense matrix, the package's only dense view of the mollified
-    kernel: the oracle of the structured path in the tests, and its
-    spot check where the sweep's bound is too loose.  It agrees
-    with assemble() over kernels.bs_kernel_mollified to rounding.
+    its rounding error at one check point per n; an n that bound does not
+    vouch for is refused, never assembled.  matrix(n, nu) assembles one
+    dense matrix, the package's only dense view of the mollified kernel:
+    the oracle of the structured path in the tests, and the matrix the
+    invariants measure.  It agrees with assemble() over
+    kernels.bs_kernel_mollified to rounding.
     """
 
     def __init__(self, profile: PotentialProfile, grid: QuadratureGrid):
@@ -289,8 +290,9 @@ def det2_sweep(family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.n
     T = diag(row) F diag(col) has the determinant of diag(row col) F.
     Returns (values, points, bound): values (len(schedule), len(nu_grid)),
     points[s] the nu index of smallest |det2| (or of the first NaN) of
-    schedule[s], and bound[s] the first-order bound on the relative
-    error of the value there, inf where it vouches for nothing.
+    schedule[s], and bound[s] the first-order adjoint bound on the
+    relative error of the value there, inf where it vouches for nothing.
+    No dense matrix is built: family.matrix is the oracle of the tests.
     """
     nu = np.asarray(nu_grid, dtype=float)
     rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)

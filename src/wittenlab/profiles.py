@@ -228,5 +228,5 @@ def c0(profile: PotentialProfile) -> float:
 
 def _check_mollifier_index(n) -> int:
     if not float(n).is_integer() or int(n) < 1:
-        raise ValueError(f"mollifier index must be a positive integer, got {n!r}")
+        raise ValueError(f"mollifier index must be a positive integer, got {n}")
     return int(n)

@@ -28,9 +28,9 @@ Everything here treats curves as immutable value objects.  A sweep
 takes det2 at every nu and every n of a mollifier schedule from one
 structured elimination, O(N) per point (det2_sweep), which also
 returns, for each n, its point of smallest |det2| and a running error
-bound on the sweep's value there.  Where the bound is too loose to
-vouch, that n falls back to the dense LU det2 of the assembled matrix,
-before its phase is tracked.
+bound on the sweep's value there.  An n whose bound does not vouch is
+refused, with that point named, before its phase is tracked; no dense
+matrix is built.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .determinants import RefinementNeededError, _det2_log_magnitude, det2, phase_curve
+from .determinants import RefinementNeededError, phase_curve
+from .determinants import det2  # noqa: F401  (not called: perfbench/tracing.py patches this name)
 from .discretize import (
     MollifiedBSFamily,
     _legendre_rule,
@@ -165,26 +166,23 @@ def _nu_grid(nu_max: float, nu_points: Optional[int], N: int) -> np.ndarray:
     return np.linspace(-nu_max, nu_max, N + 1 if nu_points is None else nu_points)
 
 
-_SPOT_CHECK_TOL = 1e-9
+# The sweep vouches for an n where its bound e at the check point's value v
+# puts the exact det2 within e |v| <= _VOUCH_TOL (1 + |v|) of v.
+_VOUCH_TOL = 1e-9
 
 
-def _spot_check(family: MollifiedBSFamily, n: int, nu: float, value: complex) -> None:
-    """Hold the structured sweep's value at (n, nu) to the dense LU det2 there.
-
-    The fallback where the sweep's bound does not vouch: a disagreement beyond
-    _SPOT_CHECK_TOL * (1 + |dense|) is refused with the point named, and so
-    is a dense det2 beyond double range, 0 or inf, with its log-magnitude.
-    """
-    entries = family.matrix(n, nu).entries
-    dense = det2(entries)
-    in_range = 0.0 < abs(dense) < math.inf
-    if not (in_range and abs(value - dense) <= _SPOT_CHECK_TOL * (1.0 + abs(dense))):
-        beyond = "" if in_range else f", of log-magnitude {_det2_log_magnitude(entries):.6g},"
-        raise RefinementNeededError(
-            f"structured det2 {value:.6g} disagrees with the dense det2 {dense:.6g}{beyond} "
-            f"at nu = {nu:g}",
-            interval=(nu, nu),
-        )
+def _vouch(nu: float, value: complex, bound: float) -> None:
+    """Refuse an n at its check point nu unless its bound vouches for the sweep's value there."""
+    size = abs(value)
+    if not math.isfinite(size):
+        problem = " is not finite: the sweep left double range, which no finer grid brings back"
+    elif not math.isfinite(bound):
+        problem = f", {value:.6g}, has an error bound that is not finite, so it vouches for nothing"
+    elif bound * size > _VOUCH_TOL * (1.0 + size):
+        problem = f", {value:.6g}, has the error bound {bound:.3g}, too loose for {_VOUCH_TOL:g}"
+    else:
+        return
+    raise RefinementNeededError(f"the structured det2 at nu = {nu:g}{problem}", interval=(nu, nu))
 
 
 def _zero_curve(nu_grid: np.ndarray, n: int, N: int) -> SSFCurve:
@@ -221,11 +219,11 @@ def ssf_mollified(
     tuple of curves, one per n, from one elimination over the whole
     schedule, each bitwise equal to the curve of its n alone.  The sweep
     vouches for an n where its bound e, at the value v of the n's check
-    point, puts the exact det2 within e |v| <= _SPOT_CHECK_TOL (1 + |v|)
-    of v, the margin the dense check allows; a non-finite v or bound
-    vouches for nothing.  The dense spot check of an n it does not vouch
-    for and the phase tracking run per n in schedule order, so the error
-    raised is the one a loop over n would raise first.
+    point, puts the exact det2 within e |v| <= _VOUCH_TOL (1 + |v|) of v;
+    a non-finite v or bound vouches for nothing, and an n it does not
+    vouch for is refused with its check point as the interval.  That
+    check and the phase tracking run per n in schedule order, so the
+    error raised is the one a loop over n would raise first.
     """
     _check_threads(threads)
     single = np.ndim(n) == 0
@@ -248,14 +246,9 @@ def ssf_mollified(
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, grid)
     det2_values, points, bound = det2_sweep(family, schedule, nu)
-    checked = det2_values[np.arange(len(schedule)), points]
-    size = np.abs(checked)
-    with np.errstate(invalid="ignore"):
-        vouched = np.isfinite(checked) & (bound * size <= _SPOT_CHECK_TOL * (1.0 + size))
     curves = []
-    for m, values, k, value, ok in zip(schedule, det2_values, points, checked, vouched):
-        if not ok:
-            _spot_check(family, m, float(nu[k]), value)
+    for m, values, k, e in zip(schedule, det2_values, points, bound):
+        _vouch(float(nu[k]), values[k], e)
         pc = phase_curve(nu, values)
         xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
         curves.append(

@@ -151,8 +151,8 @@ def test_wide_profile_exits_2_at_the_oscillation_gate(tmp_path, profile_file, ca
 def test_state_out_of_double_range_exits_2(tmp_path, profile_file, capsys):
     # bump(+-1e15, 1) takes the sweep's state out of double range within a
     # block of nodes: those det2 values come back not finite or 0, vouched for
-    # by nothing, and the dense check refuses them.  The dense det2 is out of
-    # range too, so it is named with its log-magnitude, not as nan
+    # by nothing, and are refused at the check point, named without a nan
+    # and with no advice to refine
     for amplitude in (1e15, -1e15):
         profile = profile_file({"kind": "bump", "amplitude": amplitude, "width": 1.0})
         for command in ("ssf-1d", "ssf-2d", "witten"):
@@ -161,8 +161,8 @@ def test_state_out_of_double_range_exits_2(tmp_path, profile_file, capsys):
             ])
             assert code == 2, command
             err = capsys.readouterr().err
-            assert "disagrees with the dense det2" in err
-            assert "dense det2 nan" not in err and "log-magnitude" in err
+            assert "the structured det2 at nu = " in err and "not finite" in err
+            assert "nan" not in err and "refine the" not in err
 
 
 def test_det2_out_of_double_range_exits_2_without_refinement_advice(tmp_path, profile_file,
@@ -242,6 +242,14 @@ def test_witten_bad_schedule(tmp_path, profile_file, capsys):
         "--out", str(tmp_path / "x"),
     ])
     assert code == 1
+    # a mollifier index below 1 is named as the number it is
+    for command, n in (("witten", ["--n-schedule", "4,0"]), ("ssf-1d", ["--n", "0"]),
+                       ("ssf-2d", ["--n", "0"])):
+        capsys.readouterr()
+        code = main([command, "--profile", profile_file(GAUSS_DESC), *n,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "mollifier index must be a positive integer, got 0\n" in capsys.readouterr().err
 
 
 def test_verify_zero_profile_passes(tmp_path, profile_file, capsys):

@@ -22,7 +22,6 @@ from wittenlab import (
     build_grid,
     builtin_profile,
     c0,
-    det2,
     eta_n_im,
     fourier_pair,
     krein_check_trn,
@@ -102,15 +101,15 @@ def test_threads_validated_before_early_returns():
         trace_identity_eq1(GAUSS, 8, -1.0, synthetic_constant=0.375, threads=0)
 
 
-def _count_dense_det2(monkeypatch):
-    dense_calls = []
+def _forbid_dense(monkeypatch):
+    # the dense matrix and every dense determinant (det2 and det_complex
+    # factor through _slogdet) raise: a sweep must neither assemble nor factor
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep reached the dense path")
 
-    def counted(T, **kwargs):
-        dense_calls.append(T)
-        return det2(T, **kwargs)
-
-    monkeypatch.setattr(ssf, "det2", counted)
-    return dense_calls
+    monkeypatch.setattr(MollifiedBSFamily, "matrix", forbidden)
+    monkeypatch.setattr(determinants, "_slogdet", forbidden)
+    monkeypatch.setattr(ssf, "det2", forbidden)
 
 
 def _record_bounds(monkeypatch):
@@ -126,7 +125,7 @@ def _record_bounds(monkeypatch):
     return bounds
 
 
-def _force_fallback(monkeypatch):
+def _force_unvouched(monkeypatch):
     # every bound inf: the sweep vouches for no n
     def unvouched(family, schedule, nu):
         values, points, bound = sweep(family, schedule, nu)
@@ -136,22 +135,22 @@ def _force_fallback(monkeypatch):
     monkeypatch.setattr(ssf, "det2_sweep", unvouched)
 
 
-def test_sweep_spot_check_falls_back_to_one_dense_det2(monkeypatch):
-    dense_calls = _count_dense_det2(monkeypatch)
-    small_curve(n=(2, 4, 8))
-    # the certificate vouches for every n: no dense matrix is built
-    assert dense_calls == []
-    _force_fallback(monkeypatch)
-    small_curve(n=2)
-    assert [T.shape for T in dense_calls] == [(300, 300)]
-    # a schedule falls back to one dense det2 per n
-    dense_calls.clear()
-    small_curve(n=(2, 4, 8))
-    assert [T.shape for T in dense_calls] == [(300, 300)] * 3
+def test_an_unvouched_sweep_refuses_at_its_first_n(monkeypatch):
+    _forbid_dense(monkeypatch)
+    nu = np.linspace(-8.0, 8.0, 161)
+    values = ssf.det2_sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), (2, 4, 8), nu)[0]
+    first = float(nu[np.argmin(np.abs(values[0]))])
+    _force_unvouched(monkeypatch)
+    for schedule in (2, (2, 4, 8)):
+        with pytest.raises(RefinementNeededError, match="error bound that is not finite") as err:
+            small_curve(n=schedule)
+        # n = 2's check point, named with its bound and no advice to refine
+        assert err.value.interval == (first, first)
+        assert "refine" not in str(err.value)
 
 
 def test_certificate_vouches_on_the_default_workloads(monkeypatch):
-    dense_calls = _count_dense_det2(monkeypatch)
+    _forbid_dense(monkeypatch)
     bounds = _record_bounds(monkeypatch)
     witten_index(GAUSS)
     assert len(bounds) == 5
@@ -161,46 +160,29 @@ def test_certificate_vouches_on_the_default_workloads(monkeypatch):
             ssf_mollified(builtin_profile(kind, sign * amplitude, width), 16, nu, 400)
     assert len(bounds) == 11
     assert max(bounds) <= 1e-9
-    assert dense_calls == []
+    # the trace checks sweep through ssf_mollified as well
+    krein_check_trn(GAUSS, 4, -1.0, N=300, nu_max=8.0, M=512)
+    trace_identity_eq1(GAUSS, 8, -1.0, N=300, nu_max=8.0)
+    assert len(bounds) == 13 and max(bounds) <= 1e-9
 
 
-@pytest.mark.parametrize("amplitude, nu_max, tolerance", ((24.0, 8.0, None), (8.0, 12.0, 1e-14)))
-def test_certificate_over_the_tolerance_falls_back(monkeypatch, amplitude, nu_max, tolerance):
-    # gaussian(24, 1)'s bound at n = 2 is about 6e-6, loose by 1e9 against
-    # its actual error.  gaussian(8, 1)'s, at |det2| = 0.023, is about 1e-11
-    # and vouches at 1e-9; at 1e-14 it does not, while the dense det2, 4e-16
-    # from the sweep there, still passes
-    if tolerance is not None:
-        monkeypatch.setattr(ssf, "_SPOT_CHECK_TOL", tolerance)
-    dense_calls = _count_dense_det2(monkeypatch)
+@pytest.mark.parametrize(
+    "amplitude, nu_max, N", ((24.0, 8.0, 400), (-24.0, 8.0, 400), (8.0, 12.0, 1600))
+)
+def test_certificate_vouches_where_the_modulus_bound_was_loose(monkeypatch, amplitude, nu_max, N):
+    # composing the moduli of the steps instead, the bound at n = 2 reads
+    # 5.9e-6 on gaussian(+-24, 1), loose by 6e8 against its actual error of
+    # 9e-15, and 3.3e-11 on gaussian(8, 1) at N = 1600; the adjoint bound,
+    # which keeps the steps' cancellation, reads 1.0e-12 and 4.3e-12
+    _forbid_dense(monkeypatch)
     bounds = _record_bounds(monkeypatch)
     profile = builtin_profile("gaussian", amplitude, 1.0)
     try:
-        ssf_mollified(profile, 2, np.linspace(-nu_max, nu_max, 401), 400)
+        ssf_mollified(profile, 2, np.linspace(-nu_max, nu_max, 401), N)
     except RefinementNeededError as err:
-        # the dense check passed; the phase tracking may still refuse
-        assert "disagrees" not in str(err)
-    assert len(bounds) == 1 and bounds[0] > ssf._SPOT_CHECK_TOL
-    assert [T.shape for T in dense_calls] == [(400, 400)]
-
-
-def test_refused_sweep_releases_its_workspace(monkeypatch):
-    def refuse(nu, values):
-        raise RefinementNeededError("refused")
-
-    monkeypatch.setattr(ssf, "phase_curve", refuse)
-    # the dense fallback assembles an N x N matrix before the refusal
-    _force_fallback(monkeypatch)
-    with pytest.raises(RefinementNeededError) as err:
-        small_curve(n=(2, 4))
-    # the frames a caught refusal keeps alive hold no N x N array
-    held = []
-    tb = err.value.__traceback__
-    while tb is not None:
-        arrays = [v for v in tb.tb_frame.f_locals.values() if isinstance(v, np.ndarray)]
-        held += [a for a in arrays if a.size >= 300 * 300]
-        tb = tb.tb_next
-    assert held == []
+        # vouched for; the phase tracking may still refuse
+        assert "the structured det2" not in str(err)
+    assert len(bounds) == 1 and bounds[0] <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -208,8 +190,8 @@ def test_refused_sweep_releases_its_workspace(monkeypatch):
     (((2, 4, 8, 16, 32), 400, 401), (4, 800, 801)),
 )
 def test_ssf_mollified_peak_allocation(traced_peak, schedule, N, points):
-    # the elimination's working memory alone: the certificate vouches for
-    # every n, so no N x N array is built.  At N = 800 that stays below one
+    # the elimination's working memory alone: no sweep builds an N x N
+    # array.  At N = 800 that stays below one
     # N x N array; at N = 400 the schedule's a_0 transitions, 1 MB, and its
     # block checkpoints, 1.35 MB, are each about half its size
     nu = np.linspace(-12.0, 12.0, points)
@@ -219,40 +201,51 @@ def test_ssf_mollified_peak_allocation(traced_peak, schedule, N, points):
 
 @pytest.mark.parametrize("corruption", ("perturbed", "nan"))
 def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
+    # what the sweep's values cannot be vouched for is refused at the check
+    # point, and no dense det2 is run to compare against
+    _forbid_dense(monkeypatch)
     exact = ssf.det2_sweep
     nu = np.linspace(-8.0, 8.0, 161)
     if corruption == "perturbed":
-        # every value 1e-6 off; the check looks where |det2| is smallest
+        # every value 1e-6 off, with a bound that admits as much: 1e-6 does
+        # not vouch at 1e-9, and the check looks where |det2| is smallest
         corrupt = lambda values: values * (1.0 + 1e-6)
+        loose = 1e-6
         values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0][0]
         refused = float(nu[np.argmin(np.abs(values))])
+        message = "has the error bound 1e-06, too loose for 1e-09"
     else:
-        # a NaN at one point; the check looks there first
+        # a NaN at one point, under the sweep's own bound; the check looks
+        # there first, and a value that is not finite vouches for nothing
         corrupt = lambda values: np.where(np.arange(values.shape[-1]) == 40, np.nan, values)
+        loose = None
         refused = float(nu[40])
+        message = "the structured det2 at nu = -4 is not finite"
+
     def corrupted(family, schedule, nu):
-        # the bound is of the sweep's own arithmetic, which the corruption
-        # bypasses: it is forced to vouch for nothing, so that the dense check
-        # runs at the corrupted values' check points
         values, _, bound = exact(family, schedule, nu)
         values = corrupt(values)
-        return values, np.argmin(np.abs(values), axis=1), np.full_like(bound, np.inf)
+        if loose is not None:
+            bound = np.full_like(bound, loose)
+        return values, np.argmin(np.abs(values), axis=1), bound
 
     monkeypatch.setattr(ssf, "det2_sweep", corrupted)
-    with pytest.raises(RefinementNeededError, match="disagrees with the dense det2") as err:
+    with pytest.raises(RefinementNeededError, match=message) as err:
         small_curve(n=2)
     assert err.value.interval == (refused, refused)
+    assert "nan" not in str(err.value)
 
 
 @pytest.mark.parametrize("block, part", ((5, 0), (5, 1), (-1, 0)))
 def test_a_broken_checkpoint_link_falls_back_to_one_dense_det2(monkeypatch, block, part):
     # one ulp off in one part of one checkpoint of n = 4's checked lane (the
     # final b at block -1), as the replay reads it: a replayed block no longer
-    # ends where the next starts, so n = 4 is not vouched for; its dense det2
-    # agrees with the sweep's values, which the flip leaves as they were
+    # ends where the next starts, so n = 4 is not vouched for and is refused
+    # at its check point, after n = 2's curve; no dense det2 stands in for it
     nu = np.linspace(-8.0, 8.0, 161)
     schedule = (2, 4, 8)
-    expected = ssf_mollified(GAUSS, schedule, nu, 300)
+    values = ssf.det2_sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), schedule, nu)[0]
+    checked = float(nu[np.argmin(np.abs(values[1]))])
     replay = determinants._replay
 
     def flipped(u, dx, rates, waves, coef, checkpoints, exponents):
@@ -262,13 +255,12 @@ def test_a_broken_checkpoint_link_falls_back_to_one_dense_det2(monkeypatch, bloc
         return replay(u, dx, rates, waves, coef, checkpoints, exponents)
 
     monkeypatch.setattr(determinants, "_replay", flipped)
-    dense_calls = _count_dense_det2(monkeypatch)
+    _forbid_dense(monkeypatch)
     bounds = _record_bounds(monkeypatch)
-    curves = ssf_mollified(GAUSS, schedule, nu, 300)
-    assert [T.shape for T in dense_calls] == [(300, 300)]
+    with pytest.raises(RefinementNeededError, match="has an error bound that is not finite") as err:
+        ssf_mollified(GAUSS, schedule, nu, 300)
+    assert err.value.interval == (checked, checked)
     assert bounds[1] == np.inf and max(bounds[0], bounds[2]) <= 1e-9
-    for curve, reference in zip(curves, expected):
-        assert_array_equal(curve.values, reference.values)
 
 
 def test_ssf_mollified_sweeps_the_nodes_once(monkeypatch):
