@@ -87,7 +87,6 @@ class PhaseCurve:
     nu_grid: np.ndarray
     raw_det2: np.ndarray
     unwrapped_phase: np.ndarray
-    anchor: int
 
 
 def _slogdet(matrix: np.ndarray) -> tuple[complex, float]:
@@ -629,4 +628,4 @@ def phase_curve(nu_grid: np.ndarray, det2_values: np.ndarray) -> PhaseCurve:
             interval=(float(nu[0]), float(nu[-1])),
         )
 
-    return PhaseCurve(nu_grid=nu, raw_det2=values, unwrapped_phase=unwrapped, anchor=0)
+    return PhaseCurve(nu_grid=nu, raw_det2=values, unwrapped_phase=unwrapped)

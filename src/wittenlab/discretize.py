@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .determinants import RefinementNeededError, det2_semiseparable
-from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel
+from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel, bs_kernel_mollified
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
 __all__ = [
@@ -208,86 +208,45 @@ def bs_matrix(
     return assemble(lambda x, xp: bs_kernel(profile, point, x, xp), grid)
 
 
-# Entries per row block of MollifiedBSFamily.matrix: its complex, real and
-# boolean block scratches then take about 200 kB together, whatever N is.
-_MATRIX_BLOCK_ENTRIES = 1 << 13
-
-
 class MollifiedBSFamily:
     """Mollified BS matrices over a sweep of boundary points nu + i0.
 
-    With d = x_i - x_j, row = i sgn(phi) u and col = u (u the weighted
-    |phi|^(1/2) factor), the entries at mollifier index n are
-    row_i col_j c_near e^(n d) above the diagonal (rank 1) and
-    row_i col_j (c_osc e^(i nu d) - c_far e^(-n d)) on and below it
-    (rank 2).  Only this upper side nu + i0 is built: if T is its matrix
-    and S = diag(sgn phi), the lower side's is S T^H S (T^H where phi
-    keeps one sign), so its det2 is the complex conjugate.  A family holds one
-    profile on one grid; det2_sweep eliminates that structure for a
-    whole schedule of n at once, in O(N) per point and n, and bounds
-    its rounding error at one check point per n; an n that bound does not
-    vouch for is refused, never assembled.  matrix(n, nu) assembles one
-    dense matrix, the package's only dense view of the mollified kernel:
-    the oracle of the structured path in the tests, and the matrix the
-    invariants measure.  It agrees with assemble() over
-    kernels.bs_kernel_mollified to rounding.
+    A family holds one profile on one grid.  matrix(n, nu) is assemble()
+    over kernels.bs_kernel_mollified at nu + i0, the package's only dense
+    view of the mollified kernel: the oracle of the structured path in
+    the tests, and the matrix the invariants measure.  Only the upper
+    side is built: if T is its matrix and S = diag(sgn phi), the lower
+    side's is S T^H S (T^H where phi keeps one sign), so its det2 is the
+    complex conjugate.  With d = x_i - x_j and u the weighted |phi|^(1/2)
+    factor, T = diag(i sgn(phi) u) F diag(u), where F_ij is c_near e^(n d)
+    above the diagonal (rank 1) and c_osc e^(i nu d) - c_far e^(-n d) on
+    and below it (rank 2).  det2_sweep eliminates that structure for a
+    whole schedule of n at once from weights = i sgn(phi) u^2 alone, in
+    O(N) per point and n, and bounds its rounding error at one check
+    point per n; an n that bound does not vouch for is refused, never
+    assembled.
     """
 
     def __init__(self, profile: PotentialProfile, grid: QuadratureGrid):
+        self.profile = profile
         self.grid = grid
         phi = np.asarray(profile.phi(grid.nodes), dtype=float)
         u = np.sqrt(grid.weights) * np.sqrt(np.abs(phi))
-        self._row = 1j * (np.sign(phi) * u)
-        self._col = u
+        self.weights = 1j * (np.sign(phi) * u) * u
 
     def matrix(self, n: int, nu: float) -> BirmanSchwingerMatrix:
-        """The dense matrix at index n and nu + i0, assembled a block of rows at a time.
-
-        Each entry takes the same floating-point operations, in the same
-        operand order, as the branch formula of the class docstring
-        evaluated with full-size temporaries, so the two agree bitwise.
-        The decay factor e^(-n|x_i - x_j|), the far-branch product and the
-        near/far mask exist for one block of rows only.
-        """
-        n = _check_mollifier_index(n)
-        N = self.grid.N
-        entries = np.empty((N, N), dtype=complex)
-        z = complex(nu)
-        x = self.grid.nodes
-        c_near, c_osc, c_far = _mollified_coefficients(n, z, 1.0)
-        osc = np.exp(1j * z * x)
-        wave = osc.conj()
-        rows = max(1, _MATRIX_BLOCK_ENTRIES // N)
-        decay = np.empty((rows, N))
-        far = np.empty((rows, N), dtype=complex)
-        near = np.empty((rows, N), dtype=bool)
-        columns = np.arange(N)
-        for start in range(0, N, rows):
-            stop = min(start + rows, N)
-            block = entries[start:stop]
-            d, f, m = decay[: stop - start], far[: stop - start], near[: stop - start]
-            np.multiply.outer(osc[start:stop], wave, out=block)
-            np.subtract.outer(x[start:stop], x, out=d)
-            np.abs(d, out=d)
-            d *= -n
-            np.exp(d, out=d)
-            np.multiply(c_osc, block, out=block)
-            np.multiply(c_far, d, out=f)
-            block -= f
-            # x is strictly increasing, so x_i < x_j exactly when i < j: the
-            # near branch lies strictly above the diagonal
-            np.less.outer(np.arange(start, stop), columns, out=m)
-            np.multiply(c_near, d, out=block, where=m)
-            np.multiply(self._row[start:stop, None], block, out=block)
-            block *= self._col
-        return BirmanSchwingerMatrix(entries=entries)
+        """The dense matrix at index n and nu + i0."""
+        point = SpectralPoint.boundary(nu)
+        return assemble(
+            lambda x, xp: bs_kernel_mollified(self.profile, n, point, x, xp), self.grid
+        )
 
 
 def det2_sweep(family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.ndarray) -> tuple:
     """det2 of family.matrix(n, nu) at every n and nu, with each n's check point and its bound.
 
     One det2_semiseparable elimination serves the whole schedule:
-    T = diag(row) F diag(col) has the determinant of diag(row col) F.
+    T = diag(i sgn(phi) u) F diag(u) has the determinant of diag(weights) F.
     Returns (values, points, bound): values (len(schedule), len(nu_grid)),
     points[s] the nu index of smallest |det2| (or of the first NaN) of
     schedule[s], and bound[s] the first-order adjoint bound on the
@@ -297,7 +256,7 @@ def det2_sweep(family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.n
     nu = np.asarray(nu_grid, dtype=float)
     rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
     return det2_semiseparable(
-        family._row * family._col,
+        family.weights,
         np.diff(family.grid.nodes),
         rates,
         nu,

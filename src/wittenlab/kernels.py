@@ -112,6 +112,13 @@ def free_resolvent_kernel(point: SpectralPoint, x, xp):
     return val if np.ndim(val) else complex(val)
 
 
+def _sandwich(profile: PotentialProfile, x, xp):
+    """The factor sgn(phi(x)) (|phi(x)| |phi(x')|)^(1/2) around every BS kernel."""
+    px = profile.phi(x)
+    pxp = profile.phi(xp)
+    return np.sign(px) * np.sqrt(np.abs(px) * np.abs(pxp))
+
+
 def bs_kernel(profile: PotentialProfile, point: SpectralPoint, x, xp):
     """Birman-Schwinger kernel sgn(phi)|phi|^(1/2) (A_- - z)^(-1) |phi|^(1/2).
 
@@ -119,10 +126,7 @@ def bs_kernel(profile: PotentialProfile, point: SpectralPoint, x, xp):
     triangular and its Carleman determinant is exactly 1; the spectral
     shift information only appears after mollification.
     """
-    px = profile.phi(x)
-    pxp = profile.phi(xp)
-    weight = np.sign(px) * np.sqrt(np.abs(px) * np.abs(pxp))
-    val = weight * free_resolvent_kernel(point, x, xp)
+    val = _sandwich(profile, x, xp) * free_resolvent_kernel(point, x, xp)
     return val if np.ndim(val) else complex(val)
 
 
@@ -156,9 +160,7 @@ def bs_kernel_mollified(profile: PotentialProfile, n: int, point: SpectralPoint,
     n = _check_mollifier_index(n)
     z = point.value
     d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-    px = profile.phi(x)
-    pxp = profile.phi(xp)
-    weight = np.sign(px) * np.sqrt(np.abs(px) * np.abs(pxp))
+    weight = _sandwich(profile, x, xp)
     s = 1.0 if point.is_upper else -1.0
     c_near, c_osc, c_far = _mollified_coefficients(n, z, s)
     decay = np.exp(-n * np.abs(d))

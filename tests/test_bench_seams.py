@@ -36,7 +36,7 @@ def tracing():
         del sys.modules[spec.name]
 
 
-def test_the_tracer_reaches_every_layer_of_the_index_and_the_fallback(tracing):
+def test_the_tracer_reaches_every_layer_of_the_index_and_counts_no_dense_call(tracing):
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, wittenlab):
         report = wittenlab.witten.witten_index(

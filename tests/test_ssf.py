@@ -200,7 +200,7 @@ def test_ssf_mollified_peak_allocation(traced_peak, schedule, N, points):
 
 
 @pytest.mark.parametrize("corruption", ("perturbed", "nan"))
-def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
+def test_an_unvouched_sweep_is_refused_at_its_check_point(monkeypatch, corruption):
     # what the sweep's values cannot be vouched for is refused at the check
     # point, and no dense det2 is run to compare against
     _forbid_dense(monkeypatch)
@@ -237,7 +237,7 @@ def test_sweep_spot_check_refuses_a_disagreement(monkeypatch, corruption):
 
 
 @pytest.mark.parametrize("block, part", ((5, 0), (5, 1), (-1, 0)))
-def test_a_broken_checkpoint_link_falls_back_to_one_dense_det2(monkeypatch, block, part):
+def test_a_broken_checkpoint_link_refuses_its_n_without_a_dense_det2(monkeypatch, block, part):
     # one ulp off in one part of one checkpoint of n = 4's checked lane (the
     # final b at block -1), as the replay reads it: a replayed block no longer
     # ends where the next starts, so n = 4 is not vouched for and is refused
