@@ -10,8 +10,9 @@ the pivot product.  Sweeps skip the dense matrix altogether:
 det2_semiseparable eliminates the one shape the mollified sweep
 produces, diagonal weights times a kernel of rank 2 on and below the
 diagonal and rank 1 above it (Eidelman-Gohberg), in O(N) per point.
-It runs over a whole batch of decay rates and wave numbers at once, in
-the division-free lifted form of the elimination (Gohberg-Goldberg-
+It runs over whole batches of decay rates and wave numbers at once,
+groups of matrices laid out flat in one node loop, in the
+division-free lifted form of the elimination (Gohberg-Goldberg-
 Krupnik, ch. IX): three state numbers per matrix, rescaled by a power
 of two once per block of nodes, so a pivot through zero is carried
 rather than divided by.  The sweep certifies itself: it keeps the
@@ -26,11 +27,15 @@ worth of sequential steps, and the checkpoints never leave the call.
 The dense det2 is the oracle of the tests and of the invariants, and
 no sweep falls back on it.
 
-Phase unwrapping is anchored at the leftmost sweep point, where the
-determinant must already be close to 1, and swept upward with a
-strict adjacent-jump budget of pi/2; anything larger is refused with a
-refinement request rather than guessed, because a missed winding
-silently shifts the spectral shift function by an integer.
+The phase of det2 is followed in one of two ways, and neither guesses
+a winding, because a missed one silently shifts the spectral shift
+function by an integer.  Along a nu sweep (phase_curve) it is anchored
+at the leftmost point, where the determinant must already be close to
+1, and continued upward with a strict adjacent-jump budget of pi/2;
+anything larger is refused with a refinement request.  At a single
+point it is continued along x from the replay record (_x_phases): the
+determinant of the operator cut at each node starts at 1, and each
+node's step must stay below pi/2 with the cut determinant away from 0.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -145,9 +150,10 @@ def det2(T: np.ndarray) -> complex:
 
 # Nodes swept between two rescales of the lifted state.
 _BLOCK = 32
-# Complex entries of a_0 transitions that a sweep holds at once (512 kB).  With
-# more lanes than _TRANSITION_ENTRIES / _BLOCK, each block's transitions are
-# computed for shorter runs of nodes, which leaves room for the block checkpoints.
+# Complex entries of a_0 transitions that a sweep holds at once (512 kB); a_1's,
+# spread to every lane, take as much again.  With more lanes than
+# _TRANSITION_ENTRIES / _BLOCK, each block's transitions are computed for
+# shorter runs of nodes, which leaves room for the block checkpoints.
 _TRANSITION_ENTRIES = 1 << 15
 _LN2 = math.log(2.0)
 
@@ -198,18 +204,19 @@ def _lifted_nodes(weights, steps, coef, state, record=None) -> None:
     """Run the lifted recurrence over consecutive nodes, in place on state = (b, a_0, a_1).
 
     steps = (waves, decays) holds the transitions after each node:
-    waves[j] multiplies a_0 and is complex over the lanes, decays[j]
-    multiplies a_1 and is real, broadcast against the lanes.  A block
-    that ends at the last node has one step fewer than it has weights.
-    weights[j] is a number, or an array broadcast against the lanes.
-    With a record array given, record[j] receives node j's
-    products (c_near b, c_osc a_0, c_far a_1) of the state it starts from.
+    waves[j] multiplies a_0 and is complex over the lanes; decays[j]
+    multiplies a_1, real and materialized to the lanes' shape times 2,
+    the real and imaginary parts, because numpy multiplies equal shapes
+    faster than broadcast ones.  A block that ends at the last node has
+    one step fewer than it has weights.  weights[j] is a number, or an
+    array broadcast against the lanes.  With a record array given,
+    record[j] receives node j's products (c_near b, c_osc a_0, c_far a_1)
+    of the state it starts from.
     """
     waves, decays = steps
     b, a, a_0 = state[0], state[1:], state[1]
     # a_1 as (*lanes, 2) real parts, so its real transition takes real products
     a_1 = state[2, ..., None].view(float)
-    decays = decays[..., None]
     v = np.empty_like(b)
     products = np.empty_like(state)
     last = len(waves)
@@ -241,35 +248,52 @@ def _sweep_inputs(weights, gaps, rates, waves):
     return u, dx, rates, waves
 
 
-def _lifted_sweep(u, dx, rates, waves, coefficients):
-    """The lifted recurrence over all nodes, with the lanes' shape from rates x waves broadcast.
+class _Lanes(NamedTuple):
+    """One group of a sweep's lanes: the matrices at rates x waves, flattened rate by rate.
+
+    coefficients are broadcast to (len(rates), len(waves)), and tracked
+    holds the wave indices at which each rate's arg det2 is tracked along x.
+    """
+
+    rates: np.ndarray
+    waves: np.ndarray
+    coefficients: tuple
+    tracked: tuple = ()
+
+
+def _lifted_sweep(u, dx, groups):
+    """The lifted recurrence over all nodes, on the lanes of every group in one flat row.
 
     Returns (coef, checkpoints, exponents): the coefficients
-    materialized to the lanes' shape, and checkpoints[i], the state
+    materialized to the lanes, and checkpoints[i], the state
     (b, a_0, a_1) that block i of _BLOCK nodes starts from, in units of
     2^exponents[i]; checkpoints[-1] and exponents[-1] are the final
     state.  Each block is swept in place on the checkpoint after its
-    own, with its transitions computed for runs of nodes that keep
-    _TRANSITION_ENTRIES complex entries at most, and then rescaled.  A
-    lane that overflows within a block stays not finite, and one that
+    own, with its transitions computed per group, for runs of nodes that
+    keep _TRANSITION_ENTRIES complex entries at most, and then rescaled.
+    A lane that overflows within a block stays not finite, and one that
     underflows to 0 stays 0.
     """
     N = len(u)
-    shape = np.broadcast_shapes(rates.shape, waves.shape)
+    shapes = [(len(g.rates), len(g.waves)) for g in groups]
+    ends = np.cumsum([0] + [S * P for S, P in shapes])
+    parts = [slice(start, stop) for start, stop in zip(ends[:-1], ends[1:])]
+    lanes = int(ends[-1])
     # materialized, because numpy multiplies equal-shape complex arrays
     # faster than broadcast ones
-    coef = np.empty((3, *shape), dtype=complex)
-    for c, value in zip(coef, coefficients):
-        c[...] = value
+    coef = np.empty((3, lanes), dtype=complex)
+    for group, part, shape in zip(groups, parts, shapes):
+        for c, value in zip(coef[:, part], group.coefficients):
+            c.reshape(shape)[...] = value
     blocks = -(-N // _BLOCK)
-    checkpoints = np.zeros((blocks + 1, 3, *shape), dtype=complex)
+    checkpoints = np.zeros((blocks + 1, 3, lanes), dtype=complex)
     checkpoints[0, 0] = 1.0
     # int32 as frexp gives them; a sweep's sums stay far inside that range
-    exponents = np.zeros((blocks + 1, *shape), dtype=np.int32)
-    lanes = math.prod(shape)
+    exponents = np.zeros((blocks + 1, lanes), dtype=np.int32)
     run = max(1, min(_BLOCK, _TRANSITION_ENTRIES // max(lanes, 1)))
-    # the a_0 transitions of one run of nodes, refilled for each run
-    buffer = np.empty((run, *shape), dtype=complex)
+    # the transitions of one run of nodes, refilled for each run
+    waves = np.empty((run, lanes), dtype=complex)
+    decays = np.empty((run, lanes, 2))
     for i, start in enumerate(range(0, N, _BLOCK)):
         stop = min(start + _BLOCK, N)
         state, exponent = checkpoints[i + 1], exponents[i + 1]
@@ -278,8 +302,15 @@ def _lifted_sweep(u, dx, rates, waves, coefficients):
         for first in range(start, stop, run):
             last = min(first + run, stop)
             gaps = dx[first:last]
-            steps = _transitions(gaps, rates, waves, out=buffer[: len(gaps)])
-            _lifted_nodes(u[first:last], steps, coef, state)
+            steps = len(gaps)
+            for group, part, shape in zip(groups, parts, shapes):
+                block = (steps, *shape)
+                _, decay = _transitions(
+                    gaps, group.rates[:, None], group.waves[None, :],
+                    out=waves[:steps, part].reshape(block),
+                )
+                decays[:steps, part].reshape(*block, 2)[...] = decay[..., None]
+            _lifted_nodes(u[first:last], (waves[:steps], decays[:steps]), coef, state)
         _rescale(state, exponent)
     return coef, checkpoints, exponents
 
@@ -318,6 +349,11 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> tuple:
     state overflows within a block gets a value that is not finite, and
     one whose state underflows to 0 gets 0.
 
+    Several such batches, each with its own rates, waves and
+    coefficients, run as groups of one node loop (_sweep_groups), flat
+    in one row of lanes, with the transitions computed group by group;
+    this function is the sweep of one group.
+
     Returns (values, points, bound).  values[s, p] is det2 at
     (rates[s], waves[p]).  points[s] is each rate's check point, the
     wave of smallest |det2|, where elimination without pivoting is
@@ -337,32 +373,120 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> tuple:
     state left double range.
     """
     u, dx, rates, waves = _sweep_inputs(weights, gaps, rates, waves)
-    P = len(waves)
+    values, points, bound, _ = _sweep_groups(u, dx, [_Lanes(rates, waves, coefficients)])[0]
+    return values, points, bound
+
+
+def _sweep_groups(u, dx, groups, nodes=None) -> list:
+    """det2_semiseparable over several groups of lanes (_Lanes) in one node loop.
+
+    Each group is a batch of det2_semiseparable, and its result is
+    (values, points, bound, phases): the first three as det2_semiseparable
+    returns them, and phases[s, t] Im ln det2 at (rates[s],
+    waves[tracked[t]]), its arg det(I + T) continued along x from b = 1
+    (_x_phases, which refuses a lane it cannot track, naming the node's
+    x from nodes).  The lanes replayed are each rate's check point,
+    whose bound is taken, then the tracked lanes, whose products give
+    the arg at no extra node step of the sweep.
+    """
     # numpy rounds a complex product on a one-element array differently than
     # on a longer one, so a lone lane is swept beside a copy of itself, which
     # is then dropped
-    swept = np.repeat(waves, 2) if len(rates) * P == 1 else waves
+    swept = groups
+    if sum(len(g.rates) * len(g.waves) for g in groups) == 1:
+        swept = [groups[0]._replace(waves=np.repeat(groups[0].waves, 2))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        coef, checkpoints, exponents = _lifted_sweep(
-            u, dx, rates[:, None], swept[None, :], coefficients
-        )
-        values = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])[:, :P]
-        points = np.argmin(np.abs(values), axis=1)
-        # The bound is of values[s, points[s]] itself: the final allowance of
-        # _running_error_bound (_ELEM and u per step of the final exp) covers
+        coef, checkpoints, exponents = _lifted_sweep(u, dx, swept)
+        flat = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])
+        lane_rates = np.concatenate([np.repeat(g.rates, len(g.waves)) for g in swept])
+        lane_waves = np.concatenate([np.tile(g.waves, len(g.rates)) for g in swept])
+        values, points, checked, tracked = [], [], [], []
+        start = 0
+        for group, lanes in zip(groups, swept):
+            S, P = len(lanes.rates), len(lanes.waves)
+            rows = start + P * np.arange(S)
+            values.append(flat[start : start + S * P].reshape(S, P)[:, : len(group.waves)])
+            points.append(np.argmin(np.abs(values[-1]), axis=1))
+            checked.append(rows + points[-1])
+            tracked.append((rows[:, None] + np.array(group.tracked, dtype=int)).ravel())
+            start += S * P
+        # The bound is of each check point's value itself: the final allowance
+        # of _running_error_bound (_ELEM and u per step of the final exp) covers
         # any evaluation of _det2_from_state on the final state, so no value
         # taken from that state again is needed to compare against.
-        lanes = np.arange(len(rates))
-        waves = waves[points]
-        coef = coef[:, lanes, points]
-        checkpoints = checkpoints[:, :, lanes, points]
-        exponents = exponents[:, lanes, points]
-        state, exponent = checkpoints[-1], exponents[-1]
+        lanes = np.concatenate(checked + tracked)
+        C = len(lanes) - sum(len(t) for t in tracked)
+        rates, waves, coef = lane_rates[lanes], lane_waves[lanes], coef[:, lanes]
+        checkpoints, exponents = checkpoints[:, :, lanes], exponents[:, lanes]
         record, linked = _replay(u, dx, rates, waves, coef, checkpoints, exponents)
-        shift = np.repeat(exponents[:-1] - exponent, _BLOCK, axis=0)[: len(u)]
-        bound = _running_error_bound(u, dx, rates, waves, coef, record, shift, state[0], exponent)
-    bound[~linked | ~np.isfinite(bound)] = np.inf
-    return values, points, bound
+        b, exponent = checkpoints[-1, 0, :C], exponents[-1, :C]
+        shift = np.repeat(exponents[:-1, :C] - exponent, _BLOCK, axis=0)[: len(u)]
+        bound = _running_error_bound(
+            u, dx, rates[:C], waves[:C], coef[:, :C], record[..., :C], shift, b, exponent
+        )
+        phases = _x_phases(u, nodes, waves[C:], coef[:, C:], record[..., C:])
+    bound[~linked[:C] | ~np.isfinite(bound)] = np.inf
+    results, first, later = [], 0, 0
+    for group, group_values, group_points in zip(groups, values, points):
+        S, T = len(group.rates), len(group.tracked)
+        results.append((
+            group_values,
+            group_points,
+            bound[first : first + S],
+            phases[later : later + S * T].reshape(S, T),
+        ))
+        first, later = first + S, later + S * T
+    return results
+
+
+# A tracked lane is refused where b falls below this share of its state's max-abs part.
+_COLLAPSE = 1e-12
+
+
+def _x_phases(u, nodes, waves, coef, record):
+    """Im ln det2 of each replayed lane, from its arg det(I + T) continued along x.
+
+    After node k the lifted b is the determinant of the leading k x k
+    block, the operator cut to [x_1, x_k], and it starts at 1.  Node k
+    multiplies it by 1 + V_k/b_k, with b_k = c_near b / c_near and
+    V_k = u_k (c_near b - c_osc a_0 + c_far a_1) read off node k's record;
+    both are in the units its block was rescaled to, so the powers of two
+    cancel.  arg det2 is the sum of the principal args of these steps
+    less Im(c_near sum(u)).  The first lane, at its first such node, that
+    the steps cannot follow is refused, naming the node's x and the
+    lane's wave: where |b_k| falls below _COLLAPSE of the state's max-abs
+    part, the cut determinant passes near 0, which a finer grid does not
+    mend (NearSingularError); where a step reaches pi/2, the x grid is too
+    coarse to follow the arg (RefinementNeededError).  A lane whose record
+    is not finite is left to the value's own check, with phase NaN.
+    """
+    state = np.divide(record, coef, out=np.zeros_like(record), where=coef != 0.0)
+    b = state[:, 0]
+    v = (record[:, 0] - record[:, 1] + record[:, 2]) * u[:, None]
+    steps = np.angle(1.0 + v / b)
+    parts = np.abs(state.view(float))
+    size = np.maximum(parts[..., 0::2], parts[..., 1::2]).max(axis=1)
+    collapsed = ~(np.abs(b) > _COLLAPSE * size)
+    faults = (collapsed | ~(np.abs(steps) < 0.5 * math.pi)) & np.isfinite(record).all(axis=(0, 1))
+    refused = np.flatnonzero(faults.any(axis=0))
+    if refused.size:
+        t = int(refused[0])
+        k = int(np.argmax(faults[:, t]))
+        x, nu = float(nodes[k]), float(waves[t])
+        if collapsed[k, t]:
+            share = float(abs(b[k, t]) / size[k, t]) if size[k, t] else 0.0
+            raise NearSingularError(
+                f"|b| = {share:.3e} of its state at x = {x:g}, nu = {nu:g}: det(I + T) cut "
+                f"at x passes near 0, and its arg cannot be continued along x",
+                nu=nu,
+                magnitude=share,
+            )
+        raise RefinementNeededError(
+            f"arg det2 step {steps[k, t]:.3f} at x = {x:g}, nu = {nu:g} reaches pi/2; "
+            f"refine the x grid there",
+            interval=(x, x),
+        )
+    return steps.sum(axis=0) - (coef[0] * np.sum(u)).imag
 
 
 def _replay(u, dx, rates, waves, coef, checkpoints, exponents):
@@ -400,8 +524,9 @@ def _replay(u, dx, rates, waves, coef, checkpoints, exponents):
     weights = np.zeros(nodes, dtype=complex)
     weights[:N] = u
     wave = np.ones((nodes, lanes), dtype=complex)
-    decay = np.ones((nodes, lanes))
-    _, decay[: N - 1] = _transitions(dx, rates, waves, out=wave[: N - 1])
+    decay = np.ones((nodes, lanes, 2))
+    _, fall = _transitions(dx, rates, waves, out=wave[: N - 1])
+    decay[: N - 1] = fall[..., None]
     state = np.ascontiguousarray(checkpoints[:-1].swapaxes(0, 1))
     lanes_coef = np.broadcast_to(coef[:, None], state.shape).copy()
     record = np.empty((blocks, _BLOCK, 3, lanes), dtype=complex)

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .determinants import RefinementNeededError, det2_semiseparable
+from .determinants import RefinementNeededError, _Lanes, _sweep_groups, det2_semiseparable
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel, bs_kernel_mollified
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
@@ -253,15 +253,29 @@ def det2_sweep(family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.n
     relative error of the value there, inf where it vouches for nothing.
     No dense matrix is built: family.matrix is the oracle of the tests.
     """
+    lanes = _mollified_lanes(schedule, nu_grid)
+    return det2_semiseparable(
+        family.weights, np.diff(family.grid.nodes), lanes.rates, lanes.waves, lanes.coefficients
+    )
+
+
+def _mollified_lanes(schedule: Sequence[int], nu_grid: np.ndarray, tracked=()) -> _Lanes:
+    """The lanes of family.matrix(n, nu) at every n of schedule and nu of nu_grid."""
     nu = np.asarray(nu_grid, dtype=float)
     rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
-    return det2_semiseparable(
-        family.weights,
-        np.diff(family.grid.nodes),
-        rates,
-        nu,
-        _mollified_coefficients(rates[:, None], nu, 1.0),
-    )
+    return _Lanes(rates, nu, _mollified_coefficients(rates[:, None], nu, 1.0), tracked)
+
+
+def _det2_sweeps(family: MollifiedBSFamily, sweeps) -> list:
+    """det2_sweep over several (schedule, nu_grid, tracked) sweeps in one elimination.
+
+    Every sweep is one group of lanes of a single node loop
+    (determinants._sweep_groups), and its result is det2_sweep's
+    (values, points, bound) with phases[s, t], Im ln det2 at schedule[s]
+    and nu_grid[tracked[t]], continued along x rather than in nu.
+    """
+    groups = [_mollified_lanes(*sweep) for sweep in sweeps]
+    return _sweep_groups(family.weights, np.diff(family.grid.nodes), groups, family.grid.nodes)
 
 
 def fourier_pair(

@@ -30,7 +30,12 @@ structured elimination, O(N) per point (det2_sweep), which also
 returns, for each n, its point of smallest |det2| and a running error
 bound on the sweep's value there.  An n whose bound does not vouch is
 refused, with that point named, before its phase is tracked; no dense
-matrix is built.
+matrix is built.  ssf_mollified and witten_index share that sweep and
+its curves (_ssf).  The index needs whole curves for its last two n
+only; it takes each earlier n at the nodes where the curve is read at
+nu = 0, in the same elimination, with the phase tracked along x rather
+than continued in nu, and holds the last two curves' phase to the one
+tracked along x at those nodes.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .determinants import RefinementNeededError, phase_curve
 from .determinants import det2  # noqa: F401  (not called: perfbench/tracing.py patches this name)
 from .discretize import (
     MollifiedBSFamily,
+    _det2_sweeps,
     _legendre_rule,
     _require_off_halfline,
     build_grid,
@@ -201,6 +207,18 @@ def _zero_curve(nu_grid: np.ndarray, n: int, N: int) -> SSFCurve:
     )
 
 
+def _check_nu_grid(nu_grid) -> np.ndarray:
+    """The sweep grid as an array: a vector of at least 2 points, increasing and symmetric about 0."""
+    nu = np.asarray(nu_grid, dtype=float)
+    if nu.ndim != 1 or len(nu) < 2:
+        raise ValueError("nu_grid must be a 1-D vector with at least 2 points")
+    if not np.all(np.diff(nu) > 0.0):
+        raise ValueError("nu_grid must be strictly increasing")
+    if not np.allclose(nu, -nu[::-1], rtol=0.0, atol=1e-9):
+        raise ValueError("nu_grid must be symmetric about 0")
+    return nu
+
+
 def ssf_mollified(
     profile: PotentialProfile,
     n: Union[int, Sequence[int]],
@@ -230,26 +248,66 @@ def ssf_mollified(
     schedule = tuple(_check_mollifier_index(m) for m in np.atleast_1d(n))
     if not schedule:
         raise ValueError("the n schedule must be nonempty")
-    nu = np.asarray(nu_grid, dtype=float)
-    if nu.ndim != 1 or len(nu) < 2:
-        raise ValueError("nu_grid must be a 1-D vector with at least 2 points")
-    if not np.all(np.diff(nu) > 0.0):
-        raise ValueError("nu_grid must be strictly increasing")
-    if not np.allclose(nu, -nu[::-1], rtol=0.0, atol=1e-9):
-        raise ValueError("nu_grid must be symmetric about 0")
+    nu = _check_nu_grid(nu_grid)
     if profile.l1_norm == 0.0:
         curves = tuple(_zero_curve(nu, m, N) for m in schedule)
-        return curves[0] if single else curves
+    else:
+        curves = _ssf(profile, schedule, nu, N)[1]
+    return curves[0] if single else curves
 
+
+# The phase of a whole curve, continued in nu, and its arg det2 tracked along
+# x must agree within this many rad at the nodes the index reads.
+_BRANCH_TOL = 1e-9
+
+
+def _zero_nodes(nu: np.ndarray) -> tuple:
+    """The nodes that np.interp reads at 0: the node at 0, or the two around it."""
+    j = int(np.searchsorted(nu, 0.0, side="right")) - 1
+    return (j,) if nu[j] == 0.0 else (j, j + 1)
+
+
+def _ssf(profile: PotentialProfile, schedule: tuple, nu: np.ndarray, N: int, early=None):
+    """The sweep and the curves behind ssf_mollified and witten_index.
+
+    With early None, every n of the schedule gets its curve from one
+    det2_sweep, as ssf_mollified returns it.  With early = k, the first k
+    n sweep only the nodes that SSFCurve.value_at(0.0) reads, each its own
+    check point, and give xi_n(0) from arg det2 tracked along x:
+    (arg + eta_n)/pi at those nodes, interpolated as value_at does.  The
+    other n get their curves in the same node loop (_det2_sweeps), and at
+    those nodes the phase their curve continues in nu must agree with the
+    one tracked along x within _BRANCH_TOL, else the n is refused with
+    the node's nu named.  The checks run per n in schedule order.  Returns
+    (at_zero, curves): xi_n(0) of the first k n, and the curves of the rest.
+    """
     grid = build_grid(profile, N)
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, grid)
-    det2_values, points, bound = det2_sweep(family, schedule, nu)
+    at_zero = []
+    if early is None:
+        full = schedule
+        values, points, bound = det2_sweep(family, schedule, nu)
+    else:
+        full = schedule[early:]
+        zero = _zero_nodes(nu)
+        sweeps = [(full, nu, zero)] + [(schedule[:early], nu[[j]], (0,)) for j in zero]
+        (values, points, bound, tracked), *lanes = _det2_sweeps(family, sweeps)
+        near = nu[list(zero)]
+        for i, m in enumerate(schedule[:early]):
+            for v, (lane_values, _, lane_bound, _) in zip(near, lanes):
+                _vouch(float(v), lane_values[i, 0], lane_bound[i])
+            phase = np.array([lane[3][i, 0] for lane in lanes])
+            xi = (phase + np.asarray(eta_n_im(profile, m, near))) / math.pi
+            at_zero.append(float(np.interp(0.0, near, xi)))
     curves = []
-    for m, values, k, e in zip(schedule, det2_values, points, bound):
-        _vouch(float(nu[k]), values[k], e)
-        pc = phase_curve(nu, values)
+    for s, m in enumerate(full):
+        k = points[s]
+        _vouch(float(nu[k]), values[s, k], bound[s])
+        pc = phase_curve(nu, values[s])
+        if early is not None:
+            _check_branch(m, nu, zero, pc.unwrapped_phase, tracked[s])
         xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
         curves.append(
             SSFCurve(
@@ -265,7 +323,20 @@ def ssf_mollified(
                 },
             )
         )
-    return curves[0] if single else tuple(curves)
+    return np.array(at_zero), tuple(curves)
+
+
+def _check_branch(n: int, nu: np.ndarray, zero: tuple, unwrapped: np.ndarray, tracked) -> None:
+    """Refuse an n whose phase continued in nu leaves its arg det2 tracked along x at a zero node."""
+    for j, phase in zip(zero, tracked):
+        gap = abs(float(unwrapped[j]) - float(phase))
+        if not gap <= _BRANCH_TOL:
+            raise RefinementNeededError(
+                f"at n = {n}, nu = {nu[j]:g} the phase continued in nu, {unwrapped[j]:.6g}, "
+                f"and arg det2 tracked along x, {phase:.6g}, differ by {gap:.3g} rad: one of "
+                f"them missed a winding",
+                interval=(float(nu[j]), float(nu[j])),
+            )
 
 
 # lam rows per block of (lam, node) weights: a block stays in cache, and

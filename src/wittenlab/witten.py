@@ -20,7 +20,8 @@ the exact order of the closed-form eta discrepancy; the observed
 residual ratios are recorded, and a mismatch flags the report as
 low-confidence instead of failing.  Every stage after the determinant
 sweep is linear in the curve values, so extrapolating the per-n index
-numbers is identical to extrapolating the curves first.
+numbers is identical to extrapolating the curves first.  Only the last
+two n need their whole curves; the earlier n are taken at nu = 0 alone.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .profiles import PotentialProfile, _check_mollifier_index, c0
-from .ssf import SSFCurve, SSFKind, _check_threads, _nu_grid, ssf_mollified
+from .ssf import SSFCurve, SSFKind, _check_nu_grid, _check_threads, _nu_grid, _ssf
 from .ssf import _resolvent_means, _stieltjes_means
-from .ssf import pushnitski  # noqa: F401  (not called: perfbench/tracing.py patches this name)
+# not called: perfbench/tracing.py patches these names
+from .ssf import pushnitski, ssf_mollified  # noqa: F401
 
 __all__ = ["WittenReport", "delta_r", "witten_index"]
 
@@ -134,13 +136,17 @@ def witten_index(
 ) -> WittenReport:
     """Full index pipeline against the closed-form reference.
 
-    One mollified curve per schedule entry, all from one ssf_mollified
-    sweep over the schedule.  The per-n index is the curve's interpolant
-    at nu = 0, the exact lam -> 0- limit of its Delta_r, and the mollifier
-    is extrapolated away at second order from the last two n.  The
-    reported delta_r_values are the same extrapolation of Delta_r at the
-    fixed lam = -2^-k, k = 0 .. 8, from the trace formula on the last two
-    curves (ssf._resolvent_means); they tend to the index as lam -> 0-.
+    The per-n index is xi_n(0), the interpolant at nu = 0 of the n's
+    curve and the exact lam -> 0- limit of its Delta_r, and the mollifier
+    is extrapolated away at second order from the last two n.  Only
+    those two n get whole curves, as ssf_mollified returns them; each
+    earlier n, which feeds only observed_order_n and low_confidence, is
+    swept at the nodes value_at(0.0) reads, in the same node loop, with
+    arg det2 tracked along x (ssf._ssf): 805 lanes at the defaults rather
+    than 2005.  The reported delta_r_values are the same extrapolation of
+    Delta_r at the fixed lam = -2^-k, k = 0 .. 8, from the trace formula on
+    the last two curves (ssf._resolvent_means); they tend to the index as
+    lam -> 0-.
     """
     _check_threads(threads)
     schedule = tuple(_check_mollifier_index(n) for n in n_schedule)
@@ -164,13 +170,13 @@ def witten_index(
             provenance=provenance,
         )
 
-    nu_grid = _nu_grid(nu_max, nu_points, N)
+    nu_grid = _check_nu_grid(_nu_grid(nu_max, nu_points, N))
     provenance["nu_points"] = len(nu_grid)
 
-    curves = ssf_mollified(profile, schedule, nu_grid, N, threads=threads)
-    index_per_n = np.array([curve.value_at(0.0) for curve in curves])
+    at_zero, curves = _ssf(profile, schedule, nu_grid, N, early=max(len(schedule) - 2, 0))
+    index_per_n = np.concatenate((at_zero, [curve.value_at(0.0) for curve in curves]))
     # the trace formula in closed form: Delta_r = (-lam/2) integral xi_n (nu^2 - lam)^(-3/2) dnu
-    deltas = -lam_sched * _resolvent_means(curves[-2:], lam_sched)
+    deltas = -lam_sched * _resolvent_means(curves, lam_sched)
     if len(schedule) >= 2:
         r = schedule[-1] / schedule[-2]
         deltas = deltas[-1] + (deltas[-1] - deltas[-2]) / (r * r - 1.0)

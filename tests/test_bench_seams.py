@@ -5,8 +5,9 @@ namespaces that call them (ssf.det2, ssf.MollifiedBSFamily,
 witten.pushnitski and the rest), and sizes each dense matrix from its
 .entries.  A renamed or moved function leaves the benchmark's per-layer
 metrics empty, and no other test would fail.  Here the tracer runs over a
-small index pipeline and over the two traced names the index no longer
-calls: ssf.pushnitski through ssf_2d_curve, and witten.delta_r directly.
+small index pipeline and over the three traced names the index no longer
+calls: ssf.ssf_mollified and witten.delta_r directly, and ssf.pushnitski
+through ssf_2d_curve.
 Every layer it traces must show up, and the dense matrix and det2, which
 no sweep reaches, must count 0 calls.
 """
@@ -15,6 +16,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wittenlab
@@ -42,7 +44,11 @@ def test_the_tracer_reaches_every_layer_of_the_index_and_counts_no_dense_call(tr
         report = wittenlab.witten.witten_index(
             builtin_profile("gaussian", 1.0, 1.0), (2, 4, 8), N=200, nu_max=6.0, threads=1
         )
-        # the index takes Delta_r from its 1-D curves, so neither of these runs in it
+        # the index shares ssf_mollified's sweep but does not call it, and takes
+        # Delta_r from its 1-D curves, so none of these runs in it
+        wittenlab.ssf.ssf_mollified(
+            builtin_profile("gaussian", 1.0, 1.0), 4, np.linspace(-6.0, 6.0, 61), 200
+        )
         wittenlab.ssf.ssf_2d_curve(report.reference_c0)
         wittenlab.witten.delta_r(
             wittenlab.SSFCurve([1.0, 2.0], [0.3, 0.3], wittenlab.SSFKind.TWO_DIM), -1.0

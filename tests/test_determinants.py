@@ -11,7 +11,9 @@ profile kinds, signs, widths and resolutions on the upper side nu + i0,
 and its complex conjugate to the dense det2 of the closed-form kernel at
 nu - i0, the lower side, which the sweep never builds.  Its error bound
 must cover the dense LU det2's difference, and the balanced scan behind
-the bound's adjoint rows must equal a plain backward loop.
+the bound's adjoint rows must equal a plain backward loop.  The arg of
+det2 tracked along x must land on the value's phase, past pi too, and
+its two refusals are shown on synthetic weights.
 """
 
 import cmath
@@ -566,3 +568,58 @@ def test_structured_det2_does_not_overflow(side):
     structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu)[0][0]
     assert np.all(np.isfinite(structured))
     assert_allclose(structured, _dense_det2(GAUSS, 256, grid, nu, side), rtol=1e-12)
+
+
+def _tracked_sweep(weights, nodes, wave=0.7):
+    """One lane swept with its arg det2 tracked along x: (values, points, bound, phases)."""
+    lanes = determinants._Lanes(np.array([1.0]), np.array([wave]), (1.0, 0.4, 0.2), (0,))
+    return determinants._sweep_groups(weights, np.diff(nodes), [lanes], nodes)[0]
+
+
+def test_arg_det2_tracked_along_x_is_the_phase_of_the_value():
+    # the sum of the node steps lands on the principal arg of det2 when it
+    # never leaves (-pi, pi), and is continuous in x past it
+    nodes = 0.5 * np.arange(40)
+    rng = np.random.default_rng(7)
+    weights = 0.05 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+    values, _, bound, phases = _tracked_sweep(weights, nodes)
+    assert phases.shape == (1, 1) and bound[0] < 1e-12
+    assert abs(phases[0, 0] - cmath.phase(values[0, 0])) < 1e-14
+    # with c_osc = c_far = 0, node k multiplies b by 1 + u_k: ten pivots
+    # 0.5 e^(1.2 i) turn det2 = prod (1 + u_k) e^(-u_k) by 1.2 - 0.5 sin 1.2
+    # each, 7.34 in all, past pi, which the principal arg folds back
+    weights = np.zeros(40, dtype=complex)
+    weights[5:15] = 0.5 * cmath.exp(1.2j) - 1.0
+    tracked = determinants._Lanes(np.array([1.0]), np.array([0.7]), (1.0, 0.0, 0.0), (0,))
+    values, _, _, phases = determinants._sweep_groups(weights, np.diff(nodes), [tracked], nodes)[0]
+    assert abs(phases[0, 0] - 10.0 * (1.2 - 0.5 * math.sin(1.2))) < 1e-13
+    assert abs(phases[0, 0] - cmath.phase(values[0, 0]) - 2.0 * math.pi) < 1e-13
+
+
+def test_a_tracked_lane_refuses_a_node_step_of_pi_2():
+    # with zero weights before it, node 3 multiplies b = 1 by 1 + u_3 = -1 + i,
+    # a step of 3 pi/4 in arg det(I + T)
+    nodes = 0.5 * np.arange(8)
+    weights = np.zeros(8, dtype=complex)
+    weights[3] = -2.0 + 1.0j
+    # untracked, the same matrix is answered
+    values, _, bound = det2_semiseparable(weights, np.diff(nodes), [1.0], [0.7], (1.0, 0.4, 0.2))
+    assert np.isfinite(values[0, 0]) and bound[0] < 1e-12
+    with pytest.raises(RefinementNeededError, match="refine the x grid") as err:
+        _tracked_sweep(weights, nodes)
+    assert "arg det2 step 2.356 at x = 1.5, nu = 0.7 reaches pi/2" in str(err.value)
+    assert err.value.interval == (1.5, 1.5)
+
+
+def test_a_tracked_lane_refuses_a_collapsed_b_without_refinement_advice():
+    # node 0 takes b from 1 to 1 + u_0 = 1e-14 while a_0 and a_1 take about 1:
+    # at node 1, x = 0.5, b has fallen below 1e-12 of its state
+    nodes = 0.5 * np.arange(8)
+    weights = np.full(8, 0.1 + 0.0j)
+    weights[0] = -1.0 + 1e-14
+    with pytest.raises(NearSingularError) as err:
+        _tracked_sweep(weights, nodes, wave=-0.25)
+    message = str(err.value)
+    assert "of its state at x = 0.5, nu = -0.25" in message
+    assert "refine" not in message
+    assert err.value.nu == -0.25 and 0.0 < err.value.magnitude < 1e-12

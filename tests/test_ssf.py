@@ -113,6 +113,7 @@ def _forbid_dense(monkeypatch):
 
 
 def _record_bounds(monkeypatch):
+    # the bounds of every sweep, of ssf_mollified and of witten_index alike
     bounds = []
 
     def recorded(family, schedule, nu):
@@ -120,8 +121,15 @@ def _record_bounds(monkeypatch):
         bounds.extend(bound)
         return values, points, bound
 
-    sweep = ssf.det2_sweep
+    def recorded_groups(family, sweeps):
+        results = sweep_groups(family, sweeps)
+        for _, _, bound, _ in results:
+            bounds.extend(bound)
+        return results
+
+    sweep, sweep_groups = ssf.det2_sweep, ssf._det2_sweeps
     monkeypatch.setattr(ssf, "det2_sweep", recorded)
+    monkeypatch.setattr(ssf, "_det2_sweeps", recorded_groups)
     return bounds
 
 
@@ -152,18 +160,22 @@ def test_an_unvouched_sweep_refuses_at_its_first_n(monkeypatch):
 def test_certificate_vouches_on_the_default_workloads(monkeypatch):
     _forbid_dense(monkeypatch)
     bounds = _record_bounds(monkeypatch)
+    # n = 16 and 32 at their check points, and n = 2, 4 and 8 at nu = 0, each
+    # its own check point; on 400 points, at each of the two nodes around 0
     witten_index(GAUSS)
     assert len(bounds) == 5
+    witten_index(GAUSS, nu_points=400)
+    assert len(bounds) == 13
     nu = np.linspace(-12.0, 12.0, 401)
     for kind, amplitude, width in (("gaussian", 1.0, 1.0), ("sech2", 2.0, 0.25), ("bump", 2.0, 1.0)):
         for sign in (1.0, -1.0):
             ssf_mollified(builtin_profile(kind, sign * amplitude, width), 16, nu, 400)
-    assert len(bounds) == 11
+    assert len(bounds) == 19
     assert max(bounds) <= 1e-9
     # the trace checks sweep through ssf_mollified as well
     krein_check_trn(GAUSS, 4, -1.0, N=300, nu_max=8.0, M=512)
     trace_identity_eq1(GAUSS, 8, -1.0, N=300, nu_max=8.0)
-    assert len(bounds) == 13 and max(bounds) <= 1e-9
+    assert len(bounds) == 21 and max(bounds) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ Delta_r comes from the 1-D curves by the trace formula, exact for their
 linear interpolant; it is held to a Gauss-Legendre rule with a quad
 tail, and to the route through 2-D curves and delta_r that it
 replaced.  Its lam -> 0- limit is the interpolant at nu = 0, which the
-index takes per n.  The full pipeline is run on a coarse configuration
+index takes per n: from the last two curves, and for the earlier n from
+arg det2 tracked along x at the nodes that interpolant reads.  The full pipeline is run on a coarse configuration
 only, the production-scale run being the acceptance suite's business.
 """
 
@@ -20,6 +21,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate
 
 from wittenlab import (
+    RefinementNeededError,
     SSFCurve,
     SSFKind,
     WittenReport,
@@ -30,7 +32,8 @@ from wittenlab import (
     ssf_mollified,
     witten_index,
 )
-from wittenlab import ssf
+from wittenlab import build_grid, determinants, ssf
+from wittenlab.discretize import MollifiedBSFamily, det2_sweep
 
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 ZERO = builtin_profile("gaussian", 0.0, 1.0)
@@ -261,3 +264,78 @@ def test_witten_index_is_the_richardson_of_the_curves_at_0():
         assert abs(report.extrapolated_index - (at_0[2] + (at_0[2] - at_0[1]) / 3.0)) <= 1e-15
     single = witten_index(GAUSS, (4,), N=200, nu_max=6.0)
     assert abs(single.extrapolated_index - at_0[1]) <= 1e-15
+
+
+# witten_index's per-n xi_n(0) is checked on these, the default profile and four more
+FIVE_PROFILES = (("gaussian", 1.0, 1.0), ("bump", 1.0, 1.0), ("sech2", -2.0, 0.25),
+                 ("bump", 2.0, 1.0), ("gaussian", -0.5, 0.5))
+
+
+@pytest.mark.parametrize("points", (401, 400))
+def test_early_n_take_xi_n_0_from_arg_det2_tracked_along_x(points):
+    """The first n sweep only the nodes value_at(0.0) reads, and match the curves there.
+
+    On 401 points 0 is a node, read alone; on 400 the two nodes around it
+    are, each tracked along x and interpolated as value_at interpolates.
+    The last two n keep their whole curves, bitwise.
+    """
+    nu = np.linspace(-12.0, 12.0, points)
+    for kind, amplitude, width in FIVE_PROFILES:
+        profile = builtin_profile(kind, amplitude, width)
+        at_zero, curves = ssf._ssf(profile, SCHEDULE, nu, 400, early=3)
+        reference = ssf_mollified(profile, SCHEDULE, nu, 400)
+        expected = [curve.value_at(0.0) for curve in reference[:3]]
+        assert np.max(np.abs(at_zero - expected)) <= 1e-14, kind
+        for curve, whole in zip(curves, reference[3:]):
+            assert_array_equal(curve.values, whole.values)
+
+
+def test_the_index_sweep_runs_one_node_loop_and_the_last_two_n_alone(monkeypatch):
+    """n = 16 and 32 over the whole grid and n = 2, 4, 8 at nu = 0: 2 x 401 + 3 lanes.
+
+    The values of the last two n are those of their own sweep, bit for bit.
+    """
+    nu = np.linspace(-12.0, 12.0, 401)
+    family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 400))
+    groups = ssf._det2_sweeps(family, [((16, 32), nu, (200,)), ((2, 4, 8), nu[[200]], (0,))])
+    alone = det2_sweep(family, (16, 32), nu)
+    for part, expected in zip(groups[0][:3], alone):
+        assert_array_equal(part, expected)
+    steps, lanes = [], set()
+    lifted_nodes = determinants._lifted_nodes
+
+    def counted(weights, steps_, coef, state, record=None):
+        if record is None:
+            steps.append(len(weights))
+            lanes.add(state.shape[1:])
+        lifted_nodes(weights, steps_, coef, state, record)
+
+    monkeypatch.setattr(determinants, "_lifted_nodes", counted)
+    witten_index(GAUSS)
+    assert sum(steps) == 400 and lanes == {(805,)}
+
+
+def test_the_index_refuses_a_curve_whose_branch_leaves_arg_det2_along_x(monkeypatch):
+    # n = 4 and 8 keep their curves; a winding or a drift of 1e-8 rad added
+    # to the x-tracked phase of n = 4 at nu = 0 leaves the phase its curve
+    # continues in nu there, and the index refuses with n and nu named
+    sweeps = ssf._det2_sweeps
+
+    def shifted(shift):
+        def sweep(family, groups):
+            (values, points, bound, phases), *rest = sweeps(family, groups)
+            phases = phases + np.array([[shift], [0.0]])
+            return [(values, points, bound, phases), *rest]
+
+        return sweep
+
+    run = dict(n_schedule=(2, 4, 8), N=200, nu_max=6.0)
+    index = witten_index(GAUSS, **run).extrapolated_index
+    for shift in (2.0 * math.pi, 1e-8):
+        monkeypatch.setattr(ssf, "_det2_sweeps", shifted(shift))
+        with pytest.raises(RefinementNeededError, match="at n = 4, nu = 0 the phase") as err:
+            witten_index(GAUSS, **run)
+        assert err.value.interval == (0.0, 0.0)
+    # within 1e-9 rad the two agree, and the index is that of the curves
+    monkeypatch.setattr(ssf, "_det2_sweeps", shifted(1e-10))
+    assert witten_index(GAUSS, **run).extrapolated_index == index
