@@ -6,36 +6,41 @@ the Carleman (modified Fredholm) determinant det(I + T) exp(-tr T),
 the natural determinant for Hilbert-Schmidt perturbations; the raw
 determinant comes from a dense LU factorization with the magnitude
 accumulated in log space so that large matrices cannot overflow during
-the pivot product.  Sweeps skip the dense matrix altogether:
-det2_semiseparable eliminates the one shape the mollified sweep
-produces, diagonal weights times a kernel of rank 2 on and below the
-diagonal and rank 1 above it (Eidelman-Gohberg), in O(N) per point.
-It runs over whole batches of decay rates and wave numbers at once,
+the pivot product.  Sweeps skip the dense matrix altogether: the
+lifted sweep eliminates the one shape the mollified sweep produces,
+diagonal weights times a kernel of rank 2 on and below the diagonal and
+rank 1 above it (Eidelman-Gohberg), in O(N) per point.  It runs over
+whole batches of decay rates and wave numbers at once (one batch in
+det2_semiseparable, several in _sweep_groups, the path of every sweep),
 groups of matrices laid out flat in one node loop, in the
 division-free lifted form of the elimination (Gohberg-Goldberg-
 Krupnik, ch. IX): three state numbers per matrix, rescaled by a power
 of two once per block of nodes, so a pivot through zero is carried
 rather than divided by.  The sweep certifies itself: it keeps the
 state each block starts from, and before it returns it replays the
-blocks of one matrix per rate, its check point, from those
-checkpoints, all blocks at once, checks that each ends bit for bit
-where the next starts, and carries a first-order running error bound
-on the record (Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 3), in its adjoint form, so that the cancellation between the
-steps is kept.  That vouches for a sweep in O(N) work and one block's
-worth of sequential steps, and the checkpoints never leave the call.
+blocks of one matrix per rate, its check point, and of the matrices
+whose arg is tracked along x, from those checkpoints, all blocks at
+once, checks that each ends bit for bit where the next starts, and
+carries a first-order running error bound on the record (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3), in its adjoint
+form, so that the cancellation between the steps is kept.  That
+vouches for a sweep in O(N) work and one block's worth of sequential
+steps, and the checkpoints never leave the call.
 The dense det2 is the oracle of the tests and of the invariants, and
 no sweep falls back on it.
 
-The phase of det2 is followed in one of two ways, and neither guesses
-a winding, because a missed one silently shifts the spectral shift
-function by an integer.  Along a nu sweep (phase_curve) it is anchored
-at the leftmost point, where the determinant must already be close to
-1, and continued upward with a strict adjacent-jump budget of pi/2;
-anything larger is refused with a refinement request.  At a single
-point it is continued along x from the replay record (_x_phases): the
-determinant of the operator cut at each node starts at 1, and each
-node's step must stay below pi/2 with the cut determinant away from 0.
+The phase of det2 is followed two ways, and neither guesses a winding,
+because a missed one silently shifts the spectral shift function by an
+integer.  Along a nu sweep (phase_curve) it is anchored at the leftmost
+point, where the determinant must already be close to 1, and continued
+upward with a strict adjacent-jump budget of pi/2; anything larger is
+refused with a refinement request.  At a single point it is continued
+along x from the replay record (_x_phases): the determinant of the
+operator cut at each node starts at 1, and each node's step must stay
+below pi/2 with the cut determinant away from 0.  Every whole curve is
+followed both ways at the nodes where it is read at nu = 0, which must
+agree there (ssf._ssf); the points read at nu = 0 alone are followed
+along x only.
 """
 
 from __future__ import annotations
@@ -275,6 +280,8 @@ def _lifted_sweep(u, dx, groups):
     underflows to 0 stays 0.
     """
     N = len(u)
+    # a group of no lanes takes no place in the row, and no transitions
+    groups = [g for g in groups if len(g.rates) * len(g.waves)]
     shapes = [(len(g.rates), len(g.waves)) for g in groups]
     ends = np.cumsum([0] + [S * P for S, P in shapes])
     parts = [slice(start, stop) for start, stop in zip(ends[:-1], ends[1:])]
@@ -352,7 +359,8 @@ def det2_semiseparable(weights, gaps, rates, waves, coefficients) -> tuple:
     Several such batches, each with its own rates, waves and
     coefficients, run as groups of one node loop (_sweep_groups), flat
     in one row of lanes, with the transitions computed group by group;
-    this function is the sweep of one group.
+    this function is the sweep of one group, with no arg tracked, and
+    discretize.det2_sweep runs every mollified sweep through the groups.
 
     Returns (values, points, bound).  values[s, p] is det2 at
     (rates[s], waves[p]).  points[s] is each rate's check point, the
@@ -391,10 +399,10 @@ def _sweep_groups(u, dx, groups, nodes=None) -> list:
     """
     # numpy rounds a complex product on a one-element array differently than
     # on a longer one, so a lone lane is swept beside a copy of itself, which
-    # is then dropped
+    # is then dropped; every other group then has no lanes, and keeps none
     swept = groups
     if sum(len(g.rates) * len(g.waves) for g in groups) == 1:
-        swept = [groups[0]._replace(waves=np.repeat(groups[0].waves, 2))]
+        swept = [g._replace(waves=np.repeat(g.waves, 2)) for g in groups]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         coef, checkpoints, exponents = _lifted_sweep(u, dx, swept)
         flat = _det2_from_state(u, coef, checkpoints[-1], exponents[-1])

@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .determinants import RefinementNeededError, _Lanes, _sweep_groups, det2_semiseparable
+from .determinants import RefinementNeededError, _Lanes, _sweep_groups
 from .kernels import SpectralPoint, _mollified_coefficients, bs_kernel, bs_kernel_mollified
 from .profiles import PotentialProfile, _check_mollifier_index, chi
 
@@ -220,11 +220,13 @@ class MollifiedBSFamily:
     complex conjugate.  With d = x_i - x_j and u the weighted |phi|^(1/2)
     factor, T = diag(i sgn(phi) u) F diag(u), where F_ij is c_near e^(n d)
     above the diagonal (rank 1) and c_osc e^(i nu d) - c_far e^(-n d) on
-    and below it (rank 2).  det2_sweep eliminates that structure for a
-    whole schedule of n at once from weights = i sgn(phi) u^2 alone, in
-    O(N) per point and n, and bounds its rounding error at one check
-    point per n; an n that bound does not vouch for is refused, never
-    assembled.
+    and below it (rank 2).  det2_sweep eliminates that structure from
+    weights = i sgn(phi) u^2 alone, in O(N) per point and n, for groups
+    of (n, nu) in one node loop: the whole schedule over the whole nu
+    grid, and n read at the nodes around nu = 0 alone.  It bounds its
+    rounding error at one check point per n and tracks arg det2 along x
+    at the nodes each group asks for; an n that bound does not vouch
+    for is refused, never assembled.
     """
 
     def __init__(self, profile: PotentialProfile, grid: QuadratureGrid):
@@ -242,39 +244,25 @@ class MollifiedBSFamily:
         )
 
 
-def det2_sweep(family: MollifiedBSFamily, schedule: Sequence[int], nu_grid: np.ndarray) -> tuple:
-    """det2 of family.matrix(n, nu) at every n and nu, with each n's check point and its bound.
+def det2_sweep(family: MollifiedBSFamily, sweeps) -> list:
+    """det2 of family.matrix(n, nu) for each (schedule, nu_grid, tracked) sweep, in one elimination.
 
-    One det2_semiseparable elimination serves the whole schedule:
-    T = diag(i sgn(phi) u) F diag(u) has the determinant of diag(weights) F.
-    Returns (values, points, bound): values (len(schedule), len(nu_grid)),
-    points[s] the nu index of smallest |det2| (or of the first NaN) of
-    schedule[s], and bound[s] the first-order adjoint bound on the
-    relative error of the value there, inf where it vouches for nothing.
-    No dense matrix is built: family.matrix is the oracle of the tests.
+    Every sweep is one group of lanes, its n by its nu, of a single node
+    loop (determinants._sweep_groups): T = diag(i sgn(phi) u) F diag(u)
+    has the determinant of diag(weights) F.  Returns one
+    (values, points, bound, phases) per sweep: values (len(schedule),
+    len(nu_grid)), points[s] the nu index of smallest |det2| (or of the
+    first NaN) of schedule[s], bound[s] the first-order adjoint bound on
+    the relative error of the value there, inf where it vouches for
+    nothing, and phases[s, t] Im ln det2 at schedule[s] and
+    nu_grid[tracked[t]], continued along x rather than in nu.  No dense
+    matrix is built: family.matrix is the oracle of the tests.
     """
-    lanes = _mollified_lanes(schedule, nu_grid)
-    return det2_semiseparable(
-        family.weights, np.diff(family.grid.nodes), lanes.rates, lanes.waves, lanes.coefficients
-    )
-
-
-def _mollified_lanes(schedule: Sequence[int], nu_grid: np.ndarray, tracked=()) -> _Lanes:
-    """The lanes of family.matrix(n, nu) at every n of schedule and nu of nu_grid."""
-    nu = np.asarray(nu_grid, dtype=float)
-    rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
-    return _Lanes(rates, nu, _mollified_coefficients(rates[:, None], nu, 1.0), tracked)
-
-
-def _det2_sweeps(family: MollifiedBSFamily, sweeps) -> list:
-    """det2_sweep over several (schedule, nu_grid, tracked) sweeps in one elimination.
-
-    Every sweep is one group of lanes of a single node loop
-    (determinants._sweep_groups), and its result is det2_sweep's
-    (values, points, bound) with phases[s, t], Im ln det2 at schedule[s]
-    and nu_grid[tracked[t]], continued along x rather than in nu.
-    """
-    groups = [_mollified_lanes(*sweep) for sweep in sweeps]
+    groups = []
+    for schedule, nu_grid, tracked in sweeps:
+        nu = np.asarray(nu_grid, dtype=float)
+        rates = np.array([_check_mollifier_index(n) for n in schedule], dtype=float)
+        groups.append(_Lanes(rates, nu, _mollified_coefficients(rates[:, None], nu, 1.0), tracked))
     return _sweep_groups(family.weights, np.diff(family.grid.nodes), groups, family.grid.nodes)
 
 

@@ -31,11 +31,11 @@ returns, for each n, its point of smallest |det2| and a running error
 bound on the sweep's value there.  An n whose bound does not vouch is
 refused, with that point named, before its phase is tracked; no dense
 matrix is built.  ssf_mollified and witten_index share that sweep and
-its curves (_ssf).  The index needs whole curves for its last two n
-only; it takes each earlier n at the nodes where the curve is read at
-nu = 0, in the same elimination, with the phase tracked along x rather
-than continued in nu, and holds the last two curves' phase to the one
-tracked along x at those nodes.
+its curves (_ssf).  Every whole curve is also tracked along x at the
+nodes where it is read at nu = 0, and its phase continued in nu must
+agree with that one there.  The index needs whole curves for its last
+two n only; it takes each earlier n at those nodes alone, in the same
+elimination, with the phase tracked along x rather than continued in nu.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .determinants import RefinementNeededError, phase_curve
 from .determinants import det2  # noqa: F401  (not called: perfbench/tracing.py patches this name)
 from .discretize import (
     MollifiedBSFamily,
-    _det2_sweeps,
     _legendre_rule,
     _require_off_halfline,
     build_grid,
@@ -239,9 +238,15 @@ def ssf_mollified(
     vouches for an n where its bound e, at the value v of the n's check
     point, puts the exact det2 within e |v| <= _VOUCH_TOL (1 + |v|) of v;
     a non-finite v or bound vouches for nothing, and an n it does not
-    vouch for is refused with its check point as the interval.  That
-    check and the phase tracking run per n in schedule order, so the
-    error raised is the one a loop over n would raise first.
+    vouch for is refused with its check point as the interval.  The
+    sweep also tracks arg det2 along x at the node(s) value_at(0.0)
+    reads, and refuses there first, before any per-n check: a node step
+    of pi/2 or more, or a cut determinant that collapses toward 0.  Then,
+    per n in schedule order, come the check above, the phase tracking in
+    nu, and the check that the phase continued in nu agrees with the one
+    tracked along x at those nodes within _BRANCH_TOL (_ssf), so the
+    error raised after the sweep is the one a loop over n would raise
+    first.
     """
     _check_threads(threads)
     single = np.ndim(n) == 0
@@ -257,7 +262,7 @@ def ssf_mollified(
 
 
 # The phase of a whole curve, continued in nu, and its arg det2 tracked along
-# x must agree within this many rad at the nodes the index reads.
+# x must agree within this many rad at the nodes value_at(0.0) reads.
 _BRANCH_TOL = 1e-9
 
 
@@ -267,47 +272,42 @@ def _zero_nodes(nu: np.ndarray) -> tuple:
     return (j,) if nu[j] == 0.0 else (j, j + 1)
 
 
-def _ssf(profile: PotentialProfile, schedule: tuple, nu: np.ndarray, N: int, early=None):
+def _ssf(profile: PotentialProfile, schedule: tuple, nu: np.ndarray, N: int, early=0):
     """The sweep and the curves behind ssf_mollified and witten_index.
 
-    With early None, every n of the schedule gets its curve from one
-    det2_sweep, as ssf_mollified returns it.  With early = k, the first k
-    n sweep only the nodes that SSFCurve.value_at(0.0) reads, each its own
-    check point, and give xi_n(0) from arg det2 tracked along x:
-    (arg + eta_n)/pi at those nodes, interpolated as value_at does.  The
-    other n get their curves in the same node loop (_det2_sweeps), and at
-    those nodes the phase their curve continues in nu must agree with the
-    one tracked along x within _BRANCH_TOL, else the n is refused with
-    the node's nu named.  The checks run per n in schedule order.  Returns
-    (at_zero, curves): xi_n(0) of the first k n, and the curves of the rest.
+    The first `early` n sweep only the nodes that SSFCurve.value_at(0.0)
+    reads (_zero_nodes), each its own check point, and give xi_n(0) from
+    arg det2 tracked along x: (arg + eta_n)/pi at those nodes,
+    interpolated as value_at does.  The other n get their whole curves in
+    the same node loop (det2_sweep), tracked along x at the same nodes,
+    and there the phase each curve continues in nu must agree with the
+    one tracked along x within _BRANCH_TOL, else the n is refused with the
+    node's nu named.  The sweep itself refuses first a lane it cannot
+    track along x; the checks then run per n in schedule order.  Returns
+    (at_zero, curves): xi_n(0) of the first `early` n, and the curves of
+    the rest.
     """
     grid = build_grid(profile, N)
     nu_max = float(np.max(np.abs(nu)))
     ensure_oscillation_resolved(grid, nu_max)
     family = MollifiedBSFamily(profile, grid)
+    full, zero = schedule[early:], _zero_nodes(nu)
+    sweeps = [(full, nu, zero)] + [(schedule[:early], nu[[j]], (0,)) for j in zero]
+    (values, points, bound, tracked), *lanes = det2_sweep(family, sweeps)
+    near = nu[list(zero)]
     at_zero = []
-    if early is None:
-        full = schedule
-        values, points, bound = det2_sweep(family, schedule, nu)
-    else:
-        full = schedule[early:]
-        zero = _zero_nodes(nu)
-        sweeps = [(full, nu, zero)] + [(schedule[:early], nu[[j]], (0,)) for j in zero]
-        (values, points, bound, tracked), *lanes = _det2_sweeps(family, sweeps)
-        near = nu[list(zero)]
-        for i, m in enumerate(schedule[:early]):
-            for v, (lane_values, _, lane_bound, _) in zip(near, lanes):
-                _vouch(float(v), lane_values[i, 0], lane_bound[i])
-            phase = np.array([lane[3][i, 0] for lane in lanes])
-            xi = (phase + np.asarray(eta_n_im(profile, m, near))) / math.pi
-            at_zero.append(float(np.interp(0.0, near, xi)))
+    for i, m in enumerate(schedule[:early]):
+        for v, (lane_values, _, lane_bound, _) in zip(near, lanes):
+            _vouch(float(v), lane_values[i, 0], lane_bound[i])
+        phase = np.array([lane[3][i, 0] for lane in lanes])
+        xi = (phase + np.asarray(eta_n_im(profile, m, near))) / math.pi
+        at_zero.append(float(np.interp(0.0, near, xi)))
     curves = []
     for s, m in enumerate(full):
         k = points[s]
         _vouch(float(nu[k]), values[s, k], bound[s])
         pc = phase_curve(nu, values[s])
-        if early is not None:
-            _check_branch(m, nu, zero, pc.unwrapped_phase, tracked[s])
+        _check_branch(m, nu, zero, pc.unwrapped_phase, tracked[s])
         xi = (pc.unwrapped_phase + np.asarray(eta_n_im(profile, m, nu))) / math.pi
         curves.append(
             SSFCurve(

@@ -46,6 +46,11 @@ from wittenlab.discretize import MollifiedBSFamily, det2_sweep
 GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 
 
+def sweep(family, schedule, nu):
+    """det2_sweep's (values, points, bound) of one schedule over nu, tracked at no node."""
+    return det2_sweep(family, [(schedule, nu, ())])[0][:3]
+
+
 def laplace_det(m: np.ndarray) -> complex:
     if m.shape == (1, 1):
         return complex(m[0, 0])
@@ -348,7 +353,7 @@ def test_structured_det2_matches_dense(N, side):
     for (kind, sign, width), n in list(itertools.product(SHAPES, MOLLIFIERS))[::stride]:
         profile = builtin_profile(kind, sign, width)
         grid = build_grid(profile, N)
-        structured = det2_sweep(MollifiedBSFamily(profile, grid), [n], nu)[0][0]
+        structured = sweep(MollifiedBSFamily(profile, grid), [n], nu)[0][0]
         dense = _dense_det2(profile, n, grid, nu, side)
         assert_allclose(structured, dense, rtol=1e-12, err_msg=f"{kind}({sign},{width}) n={n}")
 
@@ -363,10 +368,10 @@ def test_certificate_bounds_the_error_against_dense(N):
         profile = builtin_profile(kind, sign, width)
         family = MollifiedBSFamily(profile, build_grid(profile, N))
         # one nu per sweep, which is then its check point
-        sweeps = [det2_sweep(family, [n], nu[k : k + 1]) for k in range(len(nu))]
+        sweeps = [sweep(family, [n], nu[k : k + 1]) for k in range(len(nu))]
         values = np.array([values[0, 0] for values, _, _ in sweeps])
         bound = np.array([bound[0] for _, _, bound in sweeps])
-        assert np.array_equal(values, det2_sweep(family, [n], nu)[0][0])
+        assert np.array_equal(values, sweep(family, [n], nu)[0][0])
         dense = _dense_det2(profile, n, family.grid, nu, "upper")
         error = np.abs(values - dense) / np.abs(dense)
         assert np.all(error <= bound), f"{kind}({sign},{width}) n={n}"
@@ -395,9 +400,9 @@ def test_adjoint_bound_is_the_sequential_backward_loop(monkeypatch, amplitude, s
     profile = builtin_profile("gaussian", amplitude, 1.0)
     family = MollifiedBSFamily(profile, build_grid(profile, 400))
     nu = np.linspace(-nu_max, nu_max, 401)
-    values, points, bound = det2_sweep(family, schedule, nu)
+    values, points, bound = sweep(family, schedule, nu)
     monkeypatch.setattr(determinants, "_suffix_rows", _sequential_suffix_rows)
-    sequential = det2_sweep(family, schedule, nu)
+    sequential = sweep(family, schedule, nu)
     assert values.tobytes() == sequential[0].tobytes()
     assert np.array_equal(points, sequential[1])
     assert np.all(bound < 1e-11)
@@ -417,6 +422,18 @@ def test_one_rate_sweeps_of_one_block_are_vouched_for():
         waves = rng.uniform(-12.0, 12.0, 7)
         _, _, bound = det2_semiseparable(weights, gaps, [rng.uniform(0.5, 8.0)], waves, coefficients)
         assert np.isfinite(bound[0])
+
+
+def test_a_lone_lane_beside_an_empty_group_is_swept_as_alone():
+    # one lane in all is swept beside a copy of itself; a group of no lanes
+    # before it, as an early group of no n, takes no lane and leaves it as it is
+    family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 100))
+    nu = np.array([0.5])
+    alone = det2_sweep(family, [((2,), nu, (0,))])[0]
+    empty, beside = det2_sweep(family, [((), nu, (0,)), ((2,), nu, (0,))])
+    assert empty[0].shape == empty[3].shape == (0, 1)
+    for part, expected in zip(beside, alone):
+        assert part.tobytes() == expected.tobytes()
 
 
 def _kept_checkpoints(monkeypatch):
@@ -439,26 +456,27 @@ def test_sweep_is_bitwise_the_same_in_shorter_transition_runs(monkeypatch):
     family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 100))
     nu = np.linspace(-12.0, 12.0, 8)
     checkpoints = _kept_checkpoints(monkeypatch)
-    whole = det2_sweep(family, (2, 8, 32), nu)
+    whole = sweep(family, (2, 8, 32), nu)
     for run in (1, 21):
         monkeypatch.setattr(determinants, "_TRANSITION_ENTRIES", run * 24)
-        split = det2_sweep(family, (2, 8, 32), nu)
+        split = sweep(family, (2, 8, 32), nu)
         for part, expected in zip(split, whole):
             assert part.tobytes() == expected.tobytes()
         assert checkpoints[-1].tobytes() == checkpoints[0].tobytes()
 
 
 def _swept_inputs(monkeypatch, family, schedule, nu):
-    """det2_sweep's (values, points, bound), and the det2_semiseparable arguments it swept."""
+    """sweep's (values, points, bound), and the det2_semiseparable arguments it swept."""
     calls = []
 
-    def recorded(*args):
-        calls.append(args)
-        return det2_semiseparable(*args)
+    def recorded(u, dx, groups, nodes):
+        calls.append((u, dx, *groups[0][:3]))
+        return sweep_groups(u, dx, groups, nodes)
 
+    sweep_groups = determinants._sweep_groups
     with monkeypatch.context() as patch:
-        patch.setattr(discretize, "det2_semiseparable", recorded)
-        certificate = det2_sweep(family, schedule, nu)
+        patch.setattr(discretize, "_sweep_groups", recorded)
+        certificate = sweep(family, schedule, nu)
     return calls[0], certificate
 
 
@@ -565,7 +583,7 @@ def test_structured_det2_does_not_overflow(side):
     grid = build_grid(GAUSS, 400)
     assert 2 * 256 * grid.L > 709.0
     nu = np.linspace(-12.0, 12.0, 9)
-    structured = det2_sweep(MollifiedBSFamily(GAUSS, grid), [256], nu)[0][0]
+    structured = sweep(MollifiedBSFamily(GAUSS, grid), [256], nu)[0][0]
     assert np.all(np.isfinite(structured))
     assert_allclose(structured, _dense_det2(GAUSS, 256, grid, nu, side), rtol=1e-12)
 

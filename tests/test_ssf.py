@@ -37,6 +37,11 @@ GAUSS = builtin_profile("gaussian", 1.0, 1.0)
 ZERO = builtin_profile("gaussian", 0.0, 1.0)
 
 
+def sweep(family, schedule, nu):
+    """det2_sweep's (values, points, bound) of one schedule over nu, tracked at no node."""
+    return ssf.det2_sweep(family, [(schedule, nu, ())])[0][:3]
+
+
 def small_curve(n=2, points=161, nu_max=8.0, N=300):
     # N = 300 keeps the node spacing inside the oscillation gate at nu_max = 8
     return ssf_mollified(GAUSS, n, np.linspace(-nu_max, nu_max, points), N)
@@ -116,37 +121,31 @@ def _record_bounds(monkeypatch):
     # the bounds of every sweep, of ssf_mollified and of witten_index alike
     bounds = []
 
-    def recorded(family, schedule, nu):
-        values, points, bound = sweep(family, schedule, nu)
-        bounds.extend(bound)
-        return values, points, bound
-
-    def recorded_groups(family, sweeps):
-        results = sweep_groups(family, sweeps)
+    def recorded(family, sweeps):
+        results = exact(family, sweeps)
         for _, _, bound, _ in results:
             bounds.extend(bound)
         return results
 
-    sweep, sweep_groups = ssf.det2_sweep, ssf._det2_sweeps
+    exact = ssf.det2_sweep
     monkeypatch.setattr(ssf, "det2_sweep", recorded)
-    monkeypatch.setattr(ssf, "_det2_sweeps", recorded_groups)
     return bounds
 
 
 def _force_unvouched(monkeypatch):
     # every bound inf: the sweep vouches for no n
-    def unvouched(family, schedule, nu):
-        values, points, bound = sweep(family, schedule, nu)
-        return values, points, np.full_like(bound, np.inf)
+    def unvouched(family, sweeps):
+        return [(values, points, np.full_like(bound, np.inf), phases)
+                for values, points, bound, phases in exact(family, sweeps)]
 
-    sweep = ssf.det2_sweep
+    exact = ssf.det2_sweep
     monkeypatch.setattr(ssf, "det2_sweep", unvouched)
 
 
 def test_an_unvouched_sweep_refuses_at_its_first_n(monkeypatch):
     _forbid_dense(monkeypatch)
     nu = np.linspace(-8.0, 8.0, 161)
-    values = ssf.det2_sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), (2, 4, 8), nu)[0]
+    values = sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), (2, 4, 8), nu)[0]
     first = float(nu[np.argmin(np.abs(values[0]))])
     _force_unvouched(monkeypatch)
     for schedule in (2, (2, 4, 8)):
@@ -223,7 +222,7 @@ def test_an_unvouched_sweep_is_refused_at_its_check_point(monkeypatch, corruptio
         # not vouch at 1e-9, and the check looks where |det2| is smallest
         corrupt = lambda values: values * (1.0 + 1e-6)
         loose = 1e-6
-        values = exact(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0][0]
+        values = sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), [2], nu)[0][0]
         refused = float(nu[np.argmin(np.abs(values))])
         message = "has the error bound 1e-06, too loose for 1e-09"
     else:
@@ -234,12 +233,13 @@ def test_an_unvouched_sweep_is_refused_at_its_check_point(monkeypatch, corruptio
         refused = float(nu[40])
         message = "the structured det2 at nu = -4 is not finite"
 
-    def corrupted(family, schedule, nu):
-        values, _, bound = exact(family, schedule, nu)
+    def corrupted(family, sweeps):
+        # the first sweep holds the whole curves
+        (values, _, bound, phases), *rest = exact(family, sweeps)
         values = corrupt(values)
         if loose is not None:
             bound = np.full_like(bound, loose)
-        return values, np.argmin(np.abs(values), axis=1), bound
+        return [(values, np.argmin(np.abs(values), axis=1), bound, phases), *rest]
 
     monkeypatch.setattr(ssf, "det2_sweep", corrupted)
     with pytest.raises(RefinementNeededError, match=message) as err:
@@ -256,7 +256,7 @@ def test_a_broken_checkpoint_link_refuses_its_n_without_a_dense_det2(monkeypatch
     # at its check point, after n = 2's curve; no dense det2 stands in for it
     nu = np.linspace(-8.0, 8.0, 161)
     schedule = (2, 4, 8)
-    values = ssf.det2_sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), schedule, nu)[0]
+    values = sweep(MollifiedBSFamily(GAUSS, build_grid(GAUSS, 300)), schedule, nu)[0]
     checked = float(nu[np.argmin(np.abs(values[1]))])
     replay = determinants._replay
 

@@ -9,8 +9,11 @@ linear interpolant; it is held to a Gauss-Legendre rule with a quad
 tail, and to the route through 2-D curves and delta_r that it
 replaced.  Its lam -> 0- limit is the interpolant at nu = 0, which the
 index takes per n: from the last two curves, and for the earlier n from
-arg det2 tracked along x at the nodes that interpolant reads.  The full pipeline is run on a coarse configuration
-only, the production-scale run being the acceptance suite's business.
+arg det2 tracked along x at the nodes that interpolant reads.  Every
+whole curve, the index's and ssf_mollified's alike, must agree there
+with the phase tracked along x.  The full pipeline is run on a coarse
+configuration only, the production-scale run being the acceptance
+suite's business.
 """
 
 import math
@@ -297,8 +300,8 @@ def test_the_index_sweep_runs_one_node_loop_and_the_last_two_n_alone(monkeypatch
     """
     nu = np.linspace(-12.0, 12.0, 401)
     family = MollifiedBSFamily(GAUSS, build_grid(GAUSS, 400))
-    groups = ssf._det2_sweeps(family, [((16, 32), nu, (200,)), ((2, 4, 8), nu[[200]], (0,))])
-    alone = det2_sweep(family, (16, 32), nu)
+    groups = det2_sweep(family, [((16, 32), nu, (200,)), ((2, 4, 8), nu[[200]], (0,))])
+    alone = det2_sweep(family, [((16, 32), nu, ())])[0][:3]
     for part, expected in zip(groups[0][:3], alone):
         assert_array_equal(part, expected)
     steps, lanes = [], set()
@@ -315,27 +318,51 @@ def test_the_index_sweep_runs_one_node_loop_and_the_last_two_n_alone(monkeypatch
     assert sum(steps) == 400 and lanes == {(805,)}
 
 
-def test_the_index_refuses_a_curve_whose_branch_leaves_arg_det2_along_x(monkeypatch):
-    # n = 4 and 8 keep their curves; a winding or a drift of 1e-8 rad added
-    # to the x-tracked phase of n = 4 at nu = 0 leaves the phase its curve
-    # continues in nu there, and the index refuses with n and nu named
-    sweeps = ssf._det2_sweeps
+@pytest.mark.parametrize(
+    "consumer, points",
+    (("index", 201), ("ssf", 401), ("ssf", 400)),
+    ids=("index", "ssf-401", "ssf-400"),
+)
+def test_the_index_refuses_a_curve_whose_branch_leaves_arg_det2_along_x(
+    monkeypatch, consumer, points
+):
+    # a winding or a drift of 1e-8 rad added to the x-tracked phase of n = 4
+    # at its zero nodes leaves the phase its curve continues in nu there, and
+    # the run refuses with n and the first such node's nu named: in the index,
+    # whose whole curves are n = 4 and 8, and in ssf_mollified's of n = 2, 4
+    # and 8, on 401 points, where 0 is a node, and on 400, where the two
+    # nodes around it are tracked
+    nu = np.linspace(-6.0, 6.0, points)
+    first = float(nu[ssf._zero_nodes(nu)[0]])
+    exact = ssf.det2_sweep
+
+    def run():
+        if consumer == "index":
+            # on its own grid of N + 1 = 201 points
+            return witten_index(GAUSS, n_schedule=(2, 4, 8), N=200, nu_max=6.0)
+        return ssf_mollified(GAUSS, (2, 4, 8), nu, 200)
 
     def shifted(shift):
-        def sweep(family, groups):
-            (values, points, bound, phases), *rest = sweeps(family, groups)
-            phases = phases + np.array([[shift], [0.0]])
+        def sweep(family, sweeps):
+            (values, points, bound, phases), *rest = exact(family, sweeps)
+            phases = phases.copy()
+            phases[sweeps[0][0].index(4)] += shift
             return [(values, points, bound, phases), *rest]
 
         return sweep
 
-    run = dict(n_schedule=(2, 4, 8), N=200, nu_max=6.0)
-    index = witten_index(GAUSS, **run).extrapolated_index
+    expected = run()
+    message = f"at n = 4, nu = {first:g} the phase"
     for shift in (2.0 * math.pi, 1e-8):
-        monkeypatch.setattr(ssf, "_det2_sweeps", shifted(shift))
-        with pytest.raises(RefinementNeededError, match="at n = 4, nu = 0 the phase") as err:
-            witten_index(GAUSS, **run)
-        assert err.value.interval == (0.0, 0.0)
-    # within 1e-9 rad the two agree, and the index is that of the curves
-    monkeypatch.setattr(ssf, "_det2_sweeps", shifted(1e-10))
-    assert witten_index(GAUSS, **run).extrapolated_index == index
+        monkeypatch.setattr(ssf, "det2_sweep", shifted(shift))
+        with pytest.raises(RefinementNeededError, match=message) as err:
+            run()
+        assert err.value.interval == (first, first)
+    # within 1e-9 rad the two agree, and the run answers as it does unshifted
+    monkeypatch.setattr(ssf, "det2_sweep", shifted(1e-10))
+    answer = run()
+    if consumer == "index":
+        assert answer.extrapolated_index == expected.extrapolated_index
+    else:
+        for curve, unshifted in zip(answer, expected):
+            assert curve.values.tobytes() == unshifted.values.tobytes()
